@@ -103,6 +103,11 @@ def _rounds(seed, inputs, seconds, check, call=None, after=None):
     return cold, warm, first_counts
 
 
+def totals(rounds):
+    """Round times: sweep plus trajectory seconds."""
+    return [s + t for s, t in rounds]
+
+
 def _replay_check(seed, inputs, first_counts, check):
     """Round 0's trajectory seed again must give round 0's counts."""
     from repro.noise.trajectory import run_trajectories_batched
@@ -126,14 +131,17 @@ def run(root, workdir, seed, seconds, trace):
                   for _ in range(SETUPS)]
         cold, warm, first = _rounds(seed, inputs, seconds, check)
         _replay_check(seed, inputs, first, check)
-        round_s = stats.median([s + t for s, t in warm])
+        round_s = stats.median(totals(warm))
         metrics = {
             "setup_s": stats.median(setups),
             "peak_rss_mb": self_peak_rss_mb(),
             "p50_ms": round_s * 1e3,
             # circuit evaluations: sweep points plus trajectory shots
             "ops_per_s": (W.SWEEP_POINTS + W.TRAJ_SHOTS) / round_s,
-            "cold_s": stats.median([s + t for s, t in cold]),
+            # round 3j is cold, round 3j + 1 the warm round after it
+            "cold_s": stats.first_call(
+                list(zip(totals(cold), totals(warm)[::2])), totals(warm)
+            ),
         }
         calls = 2 * (len(cold) + len(warm)) + 1
     notes = [f"batched: {calls} pipeline calls"] + check.problems

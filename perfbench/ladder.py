@@ -102,6 +102,16 @@ def _cycles(circuits, seconds, check, observe=None, call=None):
     return cold, warm, calls
 
 
+def _cold_s(cold, warm):
+    """Summed first-call time of the circuits: each visit's cold call
+    is paired with the first warm call after it (see
+    :func:`stats.first_call`)."""
+    return sum(
+        stats.first_call(list(zip(c, w[::WARM_REPEATS])), w)
+        for c, w in zip(cold, warm)
+    )
+
+
 def _rung_sum(circuits, per_circuit, n):
     """Sum over rung ``n``'s circuits of each circuit's value."""
     return sum(v for (m, _s, _c), v in zip(circuits, per_circuit) if m == n)
@@ -122,7 +132,7 @@ def run(root, workdir, seed, seconds, trace):
             "peak_rss_mb": self_peak_rss_mb(),
             "p50_ms": pass_s * 1e3,
             "ops_per_s": len(circuits) / pass_s,
-            "cold_s": sum(stats.median(c) for c in cold),
+            "cold_s": _cold_s(cold, warm),
         }
     notes = [f"sv-ladder: {calls} simulate calls"] + check.problems
     return metrics, calls, check.wrong, notes
@@ -245,7 +255,7 @@ def _run_traced(workdir, circuits, seconds, check):
     warm_med = [stats.median(w) for w in warm]
     for n in W.RUNGS:
         metrics[f"ladder.q{n}_ms"] = 1e3 * _rung_sum(circuits, warm_med, n)
-    metrics["ladder.cold_s"] = sum(stats.median(c) for c in cold)
+    metrics["ladder.cold_s"] = _cold_s(cold, warm)
 
     log = SpanLog().install()
     try:

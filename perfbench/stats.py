@@ -25,6 +25,23 @@ def median(values: Sequence[float]) -> float:
     return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
+def first_call(pairs: Sequence[Tuple[float, float]],
+               warm: Sequence[float]) -> float:
+    """Typical time of a first (cold) call: the median warm time plus
+    the median excess of each cold call over the warm call made right
+    after it.
+
+    ``pairs`` holds ``(cold, following warm)`` times, ``warm`` every
+    warm time.  Host speed drifts over seconds; the two calls of a pair
+    see the same speed, so their difference carries the first-call cost
+    (compile, first touch of new tables) without the drift, and the
+    warm median, taken over many more calls, carries the execution.
+    """
+    if not pairs:
+        raise ValueError("first_call needs at least one cold/warm pair")
+    return median(warm) + median([c - w for c, w in pairs])
+
+
 def percentile(values: Sequence[float], q: float) -> Optional[float]:
     """Nearest-rank ``q``-quantile (``0 < q < 1``), or ``None`` when
     fewer than :data:`MIN_BEYOND` samples lie beyond that rank.

@@ -44,6 +44,21 @@ class TestPercentile:
             stats.median([])
 
 
+class TestFirstCall:
+    def test_warm_median_plus_paired_excess(self):
+        # the host runs at speed 1, then twice as slow, then 1 again
+        pairs = [(1.3, 1.0), (2.6, 2.0), (1.35, 1.0)]
+        warm = [1.0, 2.0, 1.0, 1.1]
+        # warm median 1.05, excesses 0.3, 0.6, 0.35 -> median 0.35
+        assert stats.first_call(pairs, warm) == pytest.approx(1.4)
+
+    def test_excess_may_be_negative(self):
+        assert stats.first_call([(0.9, 1.0)], [1.0]) == pytest.approx(0.9)
+
+    def test_needs_a_pair(self):
+        with pytest.raises(ValueError):
+            stats.first_call([], [1.0])
+
 class TestSelfTime:
     def test_nested_spans_subtract_children(self):
         spans = [
