@@ -11,12 +11,13 @@ import pytest
 
 from benchmarks.workloads import layered_circuit
 from repro.algorithms import teleportation_circuit
+from repro.simulation import SimulationOptions
 
 
 def test_b10_rows(benchmark):
     benchmark.pedantic(
         lambda: layered_circuit(12, 4).simulate(
-            "0" * 12, dtype=np.complex64
+            "0" * 12, options=SimulationOptions(dtype=np.complex64)
         ),
         rounds=1,
         iterations=1,
@@ -27,7 +28,9 @@ def test_b10_rows(benchmark):
     v = np.array([1 / np.sqrt(2), 1j / np.sqrt(2)], dtype=np.complex64)
     bell = (np.array([1, 0, 0, 1]) / np.sqrt(2)).astype(np.complex64)
     init = np.kron(v, bell)
-    s32 = qtc.simulate(init, dtype=np.complex64)
+    s32 = qtc.simulate(
+        init, options=SimulationOptions(dtype=np.complex64)
+    )
     init64 = init.astype(np.complex128)
     init64 /= np.linalg.norm(init64)
     s64 = qtc.simulate(init64)
@@ -48,6 +51,8 @@ def test_b10_simulate(benchmark, dtype, n):
     benchmark.group = f"B10 n={n}"
     circuit = layered_circuit(n, 4)
     sim = benchmark(
-        lambda: circuit.simulate("0" * n, dtype=dtype)
+        lambda: circuit.simulate(
+            "0" * n, options=SimulationOptions(dtype=dtype)
+        )
     )
     assert sim.states[0].dtype == dtype

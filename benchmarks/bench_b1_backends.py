@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from benchmarks.workloads import layered_circuit
+from repro.simulation import SimulationOptions
 from repro.simulation.state import basis_state
 
 SIZES = [4, 8, 12, 16]
@@ -22,7 +23,9 @@ LAYERS = 4
 
 
 def _run(circuit, backend):
-    return circuit.simulate("0" * circuit.nbQubits, backend=backend)
+    return circuit.simulate(
+        "0" * circuit.nbQubits, options=SimulationOptions(backend=backend)
+    )
 
 
 @pytest.mark.parametrize("n", SIZES)

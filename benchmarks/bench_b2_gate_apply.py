@@ -99,10 +99,12 @@ def _layered_1q_circuit(n, layers):
 
 
 def test_b2_plan_vs_unplanned(benchmark):
-    """Planned-vs-unplanned execution on a deep 1q-heavy circuit
-    (paper Section 3.2 workload shape); emits ``BENCH_plan.json``."""
+    """Planned execution vs a per-gate ``apply_operation`` walk of the
+    op tree on the same backend, on a deep 1q-heavy circuit (paper
+    Section 3.2 workload shape); emits ``BENCH_plan.json``."""
     from repro.simulation import SimulationOptions, clear_plan_cache, simulate
     from repro.simulation.plan import get_plan
+    from repro.simulation.state import initial_state
 
     try:
         from benchmarks.harness import emit_json, timed_run
@@ -114,22 +116,25 @@ def test_b2_plan_vs_unplanned(benchmark):
     circuit = _layered_1q_circuit(n, layers)
     start = "0" * n
 
+    opts = SimulationOptions()
+    engine = get_backend(opts.backend)
+
+    def walk():
+        state = initial_state(start, n)
+        for gate, offset in circuit.operations():
+            state = apply_operation(engine, state, gate, offset, n)
+        return state
+
     clear_plan_cache()
-    unplanned = timed_run(
-        lambda: simulate(
-            circuit, start, options=SimulationOptions(compile=False)
-        ),
-        repeats=reps,
-        warmup=0,
-    )
+    unplanned = timed_run(walk, repeats=reps, warmup=0)
     get_plan(circuit)  # pay compilation outside the timed region
     planned = timed_run(
-        lambda: simulate(circuit, start, options=SimulationOptions()),
+        lambda: simulate(circuit, start, options=opts),
         repeats=reps,
         warmup=0,
     )
     assert np.allclose(
-        planned.value.states[0], unplanned.value.states[0], atol=1e-12
+        planned.value.states[0], unplanned.value, atol=1e-12
     )
 
     plan, stats = get_plan(circuit)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from benchmarks.workloads import bell_circuit
+from repro.simulation import SimulationOptions
 
 
 def _check(sim):
@@ -30,7 +31,8 @@ def test_e1_rows(benchmark):
 @pytest.mark.parametrize("backend", ["kernel", "sparse", "einsum"])
 def test_e1_simulate(benchmark, backend):
     circuit = bell_circuit()
-    sim = benchmark(lambda: circuit.simulate("00", backend=backend))
+    opts = SimulationOptions(backend=backend)
+    sim = benchmark(lambda: circuit.simulate("00", options=opts))
     _check(sim)
 
 

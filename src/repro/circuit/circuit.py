@@ -307,12 +307,11 @@ class QCircuit(QObject):
         self,
         start="0",
         options=None,
-        *legacy_args,
+        *,
         backend=None,
         atol=None,
         dtype=None,
         seed=None,
-        compile=None,
         fuse=None,
     ):
         """Simulate the circuit from an initial state.
@@ -324,10 +323,10 @@ class QCircuit(QObject):
             length ``2**nbQubits``.
         options:
             A :class:`~repro.simulation.SimulationOptions` (or plain
-            dict) holding backend, atol, dtype, seed and compilation
+            dict) holding backend, atol, dtype, seed and fusion
             settings — the unified configuration object shared by every
             simulation entry point.
-        backend, atol, dtype, seed, compile, fuse:
+        backend, atol, dtype, seed, fuse:
             Per-field overrides of ``options``.  Passing them without
             ``options`` is the historical keyword form and emits a
             :class:`DeprecationWarning` (it keeps working).
@@ -345,12 +344,10 @@ class QCircuit(QObject):
             self,
             start,
             options,
-            *legacy_args,
             backend=backend,
             atol=atol,
             dtype=dtype,
             seed=seed,
-            compile=compile,
             fuse=fuse,
             # this method adds a frame between the user and the shim;
             # keep deprecation warnings pointing at the user's line
@@ -376,7 +373,7 @@ class QCircuit(QObject):
             )
 
             options = resolve_simulation_options(
-                options, (), {}, caller="counts"
+                options, caller="counts"
             ).replace(backend=backend)
         return self.simulate(start, options).counts(shots, seed=seed)
 

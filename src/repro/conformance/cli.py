@@ -41,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.conformance",
         description=(
             "Differential fuzzing of every repro execution path: "
-            "random circuits through all backends x {planned, "
-            "unplanned} x {serial, batched}, IR passes, and I/O "
+            "random circuits through all backends x {fused, "
+            "unfused} x {serial, batched}, IR passes, and I/O "
             "round-trips; failures are shrunk to minimal reproducers."
         ),
     )

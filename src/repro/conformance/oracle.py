@@ -4,10 +4,9 @@ Given one generated case, the oracle executes the circuit across every
 applicable execution path and compares the outcomes:
 
 Differential checks (same circuit, different engine)
-    * every registered statevector backend x {planned, unplanned}
-      against the planned ``kernel`` reference (branch results,
+    * every registered statevector backend x {fused, unfused}
+      against the fused ``kernel`` reference (branch results,
       probabilities and full state vectors);
-    * the planned ``kernel`` run with fusion disabled;
     * the exact density-matrix engine against the reference ensemble
       ``sum_b p_b |psi_b><psi_b|``;
     * serial :func:`~repro.noise.run_trajectory` against the batched
@@ -134,10 +133,8 @@ def _start(circuit: QCircuit) -> str:
     return "0" * circuit.nbQubits
 
 
-def _simulate(circuit, backend, compiled=True, fuse=True):
-    opts = SimulationOptions(
-        backend=backend, compile=compiled, fuse=fuse
-    )
+def _simulate(circuit, backend, fuse=True):
+    opts = SimulationOptions(backend=backend, fuse=fuse)
     return simulate(circuit, _start(circuit), options=opts)
 
 
@@ -193,10 +190,10 @@ def _ensemble_rho(sim) -> np.ndarray:
 # -- individual checks -------------------------------------------------------
 
 
-def _statevector_replay(backend, compiled, fuse):
+def _statevector_replay(backend, fuse):
     def replay(circuit, noise):
         ref = _simulate(circuit, "kernel")
-        sim = _simulate(circuit, backend, compiled=compiled, fuse=fuse)
+        sim = _simulate(circuit, backend, fuse=fuse)
         dev, _ = _branch_deviation(ref, sim)
         return dev
 
@@ -208,19 +205,15 @@ def _check_statevector(case: GeneratedCase, config: OracleConfig):
     tol = config.tol("statevector")
     ref = _simulate(case.circuit, "kernel")
     backends = config.backends or available_backends("statevector")
-    variants = [(b, c, True) for b in backends for c in (True, False)]
-    variants.append(("kernel", True, False))  # fusion off
-    for backend, compiled, fuse in variants:
-        if backend == "kernel" and compiled and fuse:
-            continue  # the reference itself
-        sim = _simulate(
-            case.circuit, backend, compiled=compiled, fuse=fuse
-        )
-        dev, msg = _branch_deviation(ref, sim)
-        if dev > tol:
-            mode = "planned" if compiled else "unplanned"
-            if not fuse:
-                mode += "/nofuse"
+    for backend in backends:
+        for fuse in (True, False):
+            if backend == "kernel" and fuse:
+                continue  # the reference itself
+            sim = _simulate(case.circuit, backend, fuse=fuse)
+            dev, msg = _branch_deviation(ref, sim)
+            if dev <= tol:
+                continue
+            mode = "fused" if fuse else "unfused"
             failures.append(
                 CheckFailure(
                     check=f"statevector:{backend}/{mode}",
@@ -229,9 +222,9 @@ def _check_statevector(case: GeneratedCase, config: OracleConfig):
                     tolerance=tol,
                     message=(
                         f"{backend}/{mode} disagrees with "
-                        f"kernel/planned: {msg}"
+                        f"kernel/fused: {msg}"
                     ),
-                    replay=_statevector_replay(backend, compiled, fuse),
+                    replay=_statevector_replay(backend, fuse),
                 )
             )
     return failures

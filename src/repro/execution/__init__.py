@@ -1,8 +1,8 @@
 """The unified execution core: request -> job -> result.
 
-Every run path of the toolbox — state-vector (planned and unplanned),
-density-matrix, serial and batched Monte-Carlo trajectories, and
-vectorized parameter sweeps — executes through this package:
+Every run path of the toolbox — state-vector, density-matrix, serial
+and batched Monte-Carlo trajectories, and vectorized parameter sweeps
+— executes through this package:
 
 :class:`ExecutionRequest`
     One run as plain data: circuit reference, resolved

@@ -1,13 +1,11 @@
 """Statevector dispatch loops — THE place compiled plans execute.
 
-Historically every run path (planned and unplanned statevector,
-instrumented and not) carried its own copy of the step-dispatch loop,
-each with its own instrumentation and recorder plumbing.  This module
-is the collapse: :func:`run_plan` is the single branch-replay loop —
-parameterized by instrumentation instead of duplicated for it — and
-:func:`run_unplanned` the single walk-the-op-tree fallback.  Every
-``step.dispatch`` flight-recorder event, kernel metric and state
-high-water mark the statevector engines emit comes from here.
+:func:`run_plan` is the single branch-replay loop every statevector
+run goes through — parameterized by instrumentation instead of
+duplicated for it; unfused execution is a plan compiled with
+``fuse=False``.  Every ``step.dispatch`` flight-recorder event, kernel
+metric and state high-water mark the statevector engines emit comes
+from here.
 
 The loops return raw data (branches, recorded measurements, stats);
 materializing user-facing result objects is the caller's job — see
@@ -22,10 +20,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.circuit.barrier import Barrier
-from repro.circuit.measurement import Measurement
-from repro.circuit.reset import Reset
-from repro.exceptions import SimulationError
 from repro.gates.base import QGate
 from repro.observability.backend import InstrumentedBackend, step_kind
 from repro.observability.instrument import current_instrumentation
@@ -44,13 +38,12 @@ from repro.observability.recorder import (
     record_event,
 )
 from repro.simulation.backends import Backend
-from repro.simulation.plan import GATE, MEASURE, PlanStats
+from repro.simulation.plan import GATE, MEASURE
 
 __all__ = [
     "Branch",
     "apply_operation",
     "run_plan",
-    "run_unplanned",
     "run_sweep",
     "run_unitary",
     "record_shots",
@@ -213,12 +206,11 @@ def run_plan(plan, state, atol, inst=None, check=None):
     branches = [Branch(1.0, state, "")]
     measurements = []
     highwater = state.nbytes
-    # double-buffered scratch pair for out=-aware backends: one spare
-    # statevector flips with each branch state per step, so the whole
-    # planned run allocates no per-step result arrays.  The invariant
-    # (the spare never aliases any branch's current state) holds
-    # because a swap always retires the buffer the branch just left.
-    use_out = bool(getattr(engine, "supports_out", False))
+    # double-buffered scratch pair: one spare statevector flips with
+    # each branch state per step, so backends that write into ``out``
+    # allocate no per-step result arrays.  The invariant (the spare
+    # never aliases any branch's current state) holds because a swap
+    # always retires the buffer the branch just left.
     spare = None
     for step in plan.steps:
         if check is not None:
@@ -226,23 +218,18 @@ def run_plan(plan, state, atol, inst=None, check=None):
         t0 = perf_counter()
         if step.kind == GATE:
             for branch in branches:
-                if use_out:
-                    if (
-                        spare is None
-                        or spare.shape != branch.state.shape
-                        or spare.dtype != branch.state.dtype
-                    ):
-                        spare = np.empty_like(branch.state)
-                    res = engine.apply_planned(
-                        branch.state, step, nb_qubits, out=spare
-                    )
-                    if res is spare:
-                        spare = branch.state
-                    branch.state = res
-                else:
-                    branch.state = engine.apply_planned(
-                        branch.state, step, nb_qubits
-                    )
+                if (
+                    spare is None
+                    or spare.shape != branch.state.shape
+                    or spare.dtype != branch.state.dtype
+                ):
+                    spare = np.empty_like(branch.state)
+                res = engine.apply_planned(
+                    branch.state, step, nb_qubits, out=spare
+                )
+                if res is spare:
+                    spare = branch.state
+                branch.state = res
             record_event(
                 EV_STEP_DISPATCH,
                 op=step_kind(step),
@@ -290,90 +277,6 @@ def run_plan(plan, state, atol, inst=None, check=None):
     return branches, measurements
 
 
-def run_unplanned(circuit, engine, state, nb_qubits, atol, inst):
-    """The historical walk-the-op-tree path (``compile=False``).
-
-    Returns ``(branches, measurements, end_measured, stats)`` — the
-    same raw payload :func:`run_plan` feeds the executor, with
-    ``end_measured`` rebuilt from the op walk (no plan exists to carry
-    it).
-    """
-    ops = list(circuit.operations())
-
-    # Which qubits end on a measurement (for reducedStates)?
-    last_touch: dict = {}
-    record_counter = 0
-    record_index: dict = {}  # id(op) -> result-string position
-    for op, off in ops:
-        if isinstance(op, Barrier):
-            continue
-        recorded = isinstance(op, Measurement) or (
-            isinstance(op, Reset) and op.record
-        )
-        if recorded:
-            record_index[id(op)] = record_counter
-            record_counter += 1
-        for q in op.qubits:
-            last_touch[q + off] = op
-    end_measured = {}
-    for q, op in last_touch.items():
-        if isinstance(op, Measurement):
-            end_measured[q] = (record_index[id(op)], op)
-
-    branches = [Branch(1.0, state, "")]
-    measurements = []
-
-    # Gate applies go through the instrumented wrapper when tracing so
-    # uncompiled runs are measurable too.
-    apply_engine = (
-        InstrumentedBackend(engine, inst.metrics)
-        if inst.enabled
-        else engine
-    )
-    nb_source_ops = 0
-    nb_gates = 0
-    t0 = perf_counter()
-    with inst.span("simulate.execute", backend=engine.name):
-        for op, off in ops:
-            if isinstance(op, Barrier):
-                continue
-            nb_source_ops += 1
-            if isinstance(op, QGate):
-                nb_gates += 1
-                for branch in branches:
-                    branch.state = apply_operation(
-                        apply_engine, branch.state, op, off, nb_qubits
-                    )
-                continue
-            if isinstance(op, Measurement):
-                qubit = op.qubit + off
-                measurements.append((qubit, op))
-                branches = _measure(
-                    engine, branches, qubit, op, nb_qubits, atol,
-                    record=True,
-                )
-                continue
-            if isinstance(op, Reset):
-                qubit = op.qubit + off
-                if op.record:
-                    measurements.append((qubit, op))
-                branches = _reset(
-                    engine, branches, qubit, nb_qubits, atol,
-                    record=op.record,
-                )
-                continue
-            raise SimulationError(
-                f"cannot simulate circuit element {type(op).__name__}"
-            )
-    stats = PlanStats(
-        nb_source_ops=nb_source_ops,
-        nb_steps=nb_source_ops,
-        nb_gate_steps=nb_gates,
-        execute_seconds=perf_counter() - t0,
-    )
-    return branches, measurements, end_measured, stats
-
-
 def run_sweep(plan, cols: Mapping, nb_points: int, start=None) -> np.ndarray:
     """Execute a plan for a whole matrix of parameter points.
 
@@ -404,23 +307,17 @@ def run_sweep(plan, cols: Mapping, nb_points: int, start=None) -> np.ndarray:
         backend=engine.name,
         nb_params=len(cols),
     ):
-        # concrete steps double-buffer the whole (P, 2**n) batch for
-        # out=-aware backends — same zero-allocation flip as run_plan
-        use_out = bool(getattr(engine, "supports_out", False))
-        spare = np.empty_like(states) if use_out else None
+        # concrete steps double-buffer the whole (P, 2**n) batch —
+        # same zero-allocation flip as run_plan
+        spare = np.empty_like(states)
         for step in plan.steps:
             if step.param is None:
-                if spare is not None:
-                    res = engine.apply_planned_batched(
-                        states, step, nb_qubits, out=spare
-                    )
-                    if res is spare:
-                        spare = states
-                    states = res
-                else:
-                    states = engine.apply_planned_batched(
-                        states, step, nb_qubits
-                    )
+                res = engine.apply_planned_batched(
+                    states, step, nb_qubits, out=spare
+                )
+                if res is spare:
+                    spare = states
+                states = res
                 continue
             thetas = step.param.resolve_batch(cols)
             kernels = np.ascontiguousarray(
@@ -452,8 +349,12 @@ def run_unitary(plan) -> np.ndarray:
     """
     nb_qubits = plan.nb_qubits
     state = np.eye(1 << nb_qubits, dtype=np.complex128)
+    spare = np.empty_like(state)
     for step in plan.steps:
-        state = plan.engine.apply_planned(state, step, nb_qubits)
+        res = plan.engine.apply_planned(state, step, nb_qubits, out=spare)
+        if res is spare:
+            spare = state
+        state = res
     return state
 
 

@@ -84,7 +84,7 @@ class Job:
         self.request = request
         self.state = PENDING
         #: the :class:`~repro.simulation.CompiledPlan` once compiled
-        #: (``None`` for uncompiled / walk-the-tree runs).
+        #: (``None`` until then).
         self.plan = None
         #: the captured exception when :attr:`state` is ``FAILED``.
         self.error: Optional[BaseException] = None

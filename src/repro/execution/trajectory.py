@@ -309,27 +309,21 @@ def execute_batch(plan, engine, channels, noise, start, draws, dtype):
     col = 0
     recorded: list = []
     x_kernel = None
-    # double-buffered scratch pair for out=-aware backends: gate steps
-    # flip between `states` and one spare (B, dim) array, so the gate
-    # loop allocates nothing per step.  Noise/measurement paths below
-    # may rebind `states` to fresh arrays; the spare stays disjoint
-    # either way (a swap only ever retires the buffer states just left)
-    use_out = bool(getattr(engine, "supports_out", False))
-    spare = np.empty_like(states) if use_out else None
+    # double-buffered scratch pair: gate steps flip between `states`
+    # and one spare (B, dim) array, so backends that write into `out`
+    # allocate nothing per step.  Noise/measurement paths below may
+    # rebind `states` to fresh arrays; the spare stays disjoint either
+    # way (a swap only ever retires the buffer states just left)
+    spare = np.empty_like(states)
 
     for step in plan.steps:
         if step.kind == GATE:
-            if spare is not None:
-                new = engine.apply_planned_batched(
-                    states, step, nb_qubits, out=spare
-                )
-                if new is spare:
-                    spare = states
-                states = new
-            else:
-                states = engine.apply_planned_batched(
-                    states, step, nb_qubits
-                )
+            new = engine.apply_planned_batched(
+                states, step, nb_qubits, out=spare
+            )
+            if new is spare:
+                spare = states
+            states = new
             channel = (
                 channels.get(type(step.op))
                 if step.op is not None

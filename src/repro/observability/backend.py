@@ -91,13 +91,6 @@ class InstrumentedBackend:
             for kind in ("1q", "diag", "kq", "controlled")
         }
 
-    @property
-    def supports_out(self):
-        """Whether the wrapped backend honors the ``out=`` buffer
-        convention — dispatch loops double-buffer through the wrapper
-        exactly as they would through ``inner`` directly."""
-        return bool(getattr(self.inner, "supports_out", False))
-
     def planned_bytes(self, step, states, nb_qubits):
         """Delegate the byte estimate to ``inner``."""
         return self.inner.planned_bytes(step, states, nb_qubits)
@@ -123,17 +116,11 @@ class InstrumentedBackend:
         )
 
     def apply_planned(self, state, step, nb_qubits, out=None):
-        """Timed pass-through to ``inner.apply_planned``; forwards
-        the scratch buffer only when one was given, so wrapped legacy
-        backends keep their three-argument overrides."""
+        """Timed pass-through to ``inner.apply_planned``, forwarding
+        the scratch buffer."""
         applies, seconds, nbytes = self._handles[step_kind(step)]
         t0 = perf_counter()
-        if out is None:
-            res = self.inner.apply_planned(state, step, nb_qubits)
-        else:
-            res = self.inner.apply_planned(
-                state, step, nb_qubits, out=out
-            )
+        res = self.inner.apply_planned(state, step, nb_qubits, out=out)
         dt = perf_counter() - t0
         applies.inc()
         seconds.observe(dt)
@@ -148,14 +135,9 @@ class InstrumentedBackend:
         applies, seconds, nbytes = self._handles[step_kind(step)]
         batch = states.shape[0]
         t0 = perf_counter()
-        if out is None:
-            res = self.inner.apply_planned_batched(
-                states, step, nb_qubits
-            )
-        else:
-            res = self.inner.apply_planned_batched(
-                states, step, nb_qubits, out=out
-            )
+        res = self.inner.apply_planned_batched(
+            states, step, nb_qubits, out=out
+        )
         dt = perf_counter() - t0
         applies.inc(batch)
         seconds.observe(dt)

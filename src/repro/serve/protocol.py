@@ -19,8 +19,7 @@ A simulate request body is a JSON object::
       "expectations": ["ZZ", "XI"],     # optional Pauli strings
       "return_state": false,            # include amplitudes in reply
       "options": {"backend": "kernel", "atol": 1e-12,
-                  "dtype": "complex128", "compile": true,
-                  "fuse": true}
+                  "dtype": "complex128", "fuse": true}
     }
 
 ``{"qasm": "..."}`` at the top level is accepted as shorthand for
@@ -58,7 +57,7 @@ __all__ = [
 ]
 
 #: ``options`` keys a request may set; everything else is operator-only.
-OPTION_KEYS = ("backend", "atol", "dtype", "compile", "fuse")
+OPTION_KEYS = ("backend", "atol", "dtype", "fuse")
 
 #: Service-facing dtype spellings -> numpy complex types.
 _DTYPES = {
@@ -255,7 +254,6 @@ def _parse_options(payload: dict) -> Tuple[SimulationOptions, tuple]:
         type(options.backend).__name__,
         options.atol,
         np.dtype(options.dtype).name,
-        options.compile,
         options.fuse,
     )
     return options, key

@@ -25,15 +25,14 @@ diagonal steps
     every apply is one contiguous elementwise multiply instead of a
     fancy-indexed gather.
 
-The backend opts into the ``out=`` scratch-buffer convention
-(``supports_out = True``): the dispatch loops in
-:mod:`repro.execution.dispatch` and the batched trajectory engine own
-a double-buffered scratch pair and flip it per step, so a whole
-planned run executes with no per-step statevector allocations.  All
-kernel formulations are batch-shape invariant on the supported BLAS
-builds (the same per-element contraction order regardless of how many
-rows stack), preserving the serial-vs-batched bit-exactness contract
-of :data:`repro.conformance.DEFAULT_TOLERANCES`.
+The backend writes into the ``out=`` scratch buffer that the dispatch
+loops in :mod:`repro.execution.dispatch` and the batched trajectory
+engine pass: they own a double-buffered scratch pair and flip it per
+step, so a whole planned run executes with no per-step statevector
+allocations.  All kernel formulations are batch-shape invariant on
+the supported BLAS builds (the same per-element contraction order
+regardless of how many rows stack), preserving the serial-vs-batched
+bit-exactness contract of :data:`repro.conformance.DEFAULT_TOLERANCES`.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ class StridedBackend(KernelBackend):
     """Zero-allocation strided kernels (Level-1 acceleration tier)."""
 
     name = "strided"
-    supports_out = True
 
     # -- plan hooks ----------------------------------------------------------
 
@@ -178,7 +176,7 @@ class StridedBackend(KernelBackend):
             or state.ndim != 1
             or not state.flags.c_contiguous
         ):
-            return super().apply_planned(state, step, nb_qubits)
+            return super().apply_planned(state, step, nb_qubits, out=out)
         tag = aux[0]
         if tag == _ADIAG:
             fd = aux[1]
@@ -218,7 +216,7 @@ class StridedBackend(KernelBackend):
         aux = self._strided_aux(step)
         if aux is None or not states.flags.c_contiguous:
             return super().apply_planned_batched(
-                states, step, nb_qubits
+                states, step, nb_qubits, out=out
             )
         self._validate_batch(states, nb_qubits)
         batch = states.shape[0]

@@ -24,16 +24,13 @@ All backends accept states of shape ``(dim,)`` or batches ``(dim, m)``
 input array in place and/or return a new array; callers must use the
 **returned** array and pass owned storage.
 
-The acceleration tier (:mod:`repro.simulation.accel`,
-:mod:`repro.simulation.jit`) extends this protocol with an ``out=``
-scratch-buffer convention on :meth:`Backend.apply_planned` and
-:meth:`Backend.apply_planned_batched`: backends that set
-``supports_out = True`` accept a preallocated destination buffer so
-dispatch loops can double-buffer two arrays for a whole run instead of
-allocating per step.  The default (``supports_out = False``,
-``out=None``) keeps every existing backend — including third-party
-subclasses with legacy three-argument overrides — working unchanged,
-because callers only pass ``out=`` after checking ``supports_out``.
+:meth:`Backend.apply_planned` and :meth:`Backend.apply_planned_batched`
+take an ``out=`` scratch buffer on every backend: the dispatch loops
+always pass one, so they can double-buffer two arrays for a whole run
+instead of allocating per step.  A backend may write its result into
+``out`` (the acceleration tier, :mod:`repro.simulation.accel` and
+:mod:`repro.simulation.jit`, does) or ignore it and return ``state``
+or a fresh array (``kernel``, ``sparse`` and ``einsum`` do).
 """
 
 from __future__ import annotations
@@ -70,15 +67,6 @@ class Backend(ABC):
 
     #: Engine-registry kind for gate-apply backends.
     kind = "statevector"
-
-    #: Whether :meth:`apply_planned` / :meth:`apply_planned_batched`
-    #: honor the ``out=`` scratch-buffer convention.  Callers must only
-    #: pass ``out=`` when this is ``True``, which keeps third-party
-    #: subclasses with legacy three-argument overrides working.  An
-    #: opted-in backend guarantees: the returned array is ``state``,
-    #: ``out`` or a fresh allocation, and results are correct even when
-    #: ``out`` aliases or overlaps ``state`` (alias-safe).
-    supports_out = False
 
     @abstractmethod
     def apply(
@@ -145,10 +133,11 @@ class Backend(ABC):
         backends override this to reuse the index tables attached by
         :meth:`prepare_step`.
 
-        ``out`` is an optional preallocated destination (same shape
-        and dtype as ``state``).  The base implementation ignores it —
-        only backends with :attr:`supports_out` set write into it, and
-        callers must check that attribute before passing one.
+        ``out`` is a preallocated scratch buffer (same shape and dtype
+        as ``state``) or ``None``.  The returned array must be
+        ``state``, ``out`` or a fresh allocation, and the result must
+        be correct even when ``out`` aliases or overlaps ``state``.
+        The base implementation ignores ``out``.
         """
         return self.apply(
             state,
@@ -200,24 +189,19 @@ class Backend(ABC):
 
         The default loops :meth:`apply_planned` over the rows;
         vectorized backends execute the step once across the batch.
-        For :attr:`supports_out` backends the loop reuses ONE scratch
-        row (the first row of ``out`` when given, a single fresh row
-        otherwise) instead of letting every row apply allocate its own
-        result, and rows whose apply ran in place skip the redundant
+        The loop reuses ONE scratch row (the first row of ``out`` when
+        given, a single fresh row otherwise) as every row apply's
+        ``out``, and rows whose apply ran in place skip the redundant
         self-assignment.
         """
         self._validate_batch(states, nb_qubits)
-        row = None
-        if self.supports_out and out is not None and out is not states:
+        if out is not None and out is not states:
             row = out[0]
+        else:
+            row = np.empty_like(states[0])
         for i in range(states.shape[0]):
             src = states[i]
-            if self.supports_out:
-                if row is None:
-                    row = np.empty_like(src)
-                res = self.apply_planned(src, step, nb_qubits, out=row)
-            else:
-                res = self.apply_planned(src, step, nb_qubits)
+            res = self.apply_planned(src, step, nb_qubits, out=row)
             if res is not src:
                 states[i] = res
         return states
@@ -365,17 +349,17 @@ class KernelBackend(Backend):
             step.diag_rep = rep
             step.diag_flat = rep.ravel()
 
-    def apply_planned(self, state, step, nb_qubits):
+    def apply_planned(self, state, step, nb_qubits, out=None):
         """Strided-reshape fast path for 1q steps; gather/matmul/
         scatter over the precomputed row tables otherwise."""
         state2d, shape = self._as_2d(state)
         rows = step.rows
         if rows is None:
-            out = self._apply_1q(
+            res = self._apply_1q(
                 state2d, step.kernel, step.targets[0], nb_qubits,
                 step.diagonal,
             )
-            return out.reshape(shape)
+            return res.reshape(shape)
         flat = step.flat_rows
         if step.diagonal:
             state2d[flat] *= step.diag_rep
@@ -385,7 +369,7 @@ class KernelBackend(Backend):
         state2d[flat] = (step.kernel @ gathered).reshape(-1, m)
         return state2d.reshape(shape)
 
-    def apply_planned_batched(self, states, step, nb_qubits):
+    def apply_planned_batched(self, states, step, nb_qubits, out=None):
         """One vectorized kernel application across the whole
         ``(B, 2**n)`` batch, reusing the plan's row tables."""
         rows = step.rows
@@ -610,19 +594,19 @@ class SparseKronBackend(Backend):
         )
         return 2 * states.nbytes + nnz_bytes
 
-    def apply_planned(self, state, step, nb_qubits):
+    def apply_planned(self, state, step, nb_qubits, out=None):
         """One sparse matrix-vector product with the prebuilt
         extended operator."""
         state2d, shape = self._as_2d(state)
-        out = np.asarray(step.aux @ state2d, dtype=state2d.dtype)
-        return out.reshape(shape)
+        res = np.asarray(step.aux @ state2d, dtype=state2d.dtype)
+        return res.reshape(shape)
 
-    def apply_planned_batched(self, states, step, nb_qubits):
+    def apply_planned_batched(self, states, step, nb_qubits, out=None):
         """One sparse multiply for the whole ``(B, 2**n)`` batch."""
         # one sparse multiply for the whole batch: (dim, dim) @ (dim, B)
         self._validate_batch(states, nb_qubits)
-        out = np.asarray(step.aux @ states.T, dtype=states.dtype)
-        return np.ascontiguousarray(out.T)
+        res = np.asarray(step.aux @ states.T, dtype=states.dtype)
+        return np.ascontiguousarray(res.T)
 
     def apply_batched(
         self,
@@ -747,7 +731,7 @@ class EinsumBackend(Backend):
         )
         return 2 * states.nbytes + kernel_bytes
 
-    def apply_planned(self, state, step, nb_qubits):
+    def apply_planned(self, state, step, nb_qubits, out=None):
         """``tensordot`` the prepared kernel tensor over the step's
         qubit axes, then move the result axes back in place."""
         state2d, shape = self._as_2d(state)
@@ -757,10 +741,10 @@ class EinsumBackend(Backend):
         contracted = np.tensordot(
             ut, psi, axes=(list(range(k, 2 * k)), list(qubits_all))
         )
-        out = np.moveaxis(contracted, list(range(k)), list(qubits_all))
-        return np.ascontiguousarray(out).reshape(shape)
+        res = np.moveaxis(contracted, list(range(k)), list(qubits_all))
+        return np.ascontiguousarray(res).reshape(shape)
 
-    def apply_planned_batched(self, states, step, nb_qubits):
+    def apply_planned_batched(self, states, step, nb_qubits, out=None):
         """Single tensor contraction across the whole batch."""
         self._validate_batch(states, nb_qubits)
         ut, qubits_all, k = step.aux

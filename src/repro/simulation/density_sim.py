@@ -98,12 +98,11 @@ def simulate_density(
     start=None,
     noise: Optional[NoiseModel] = None,
     options: Optional[SimulationOptions] = None,
-    *legacy_args,
+    *,
     backend=None,
     atol: Optional[float] = None,
     dtype=None,
     seed=None,
-    compile: Optional[bool] = None,
     fuse: Optional[bool] = None,
 ) -> DensitySimulation:
     """Exact (noisy) density-matrix simulation of a circuit.
@@ -122,8 +121,8 @@ def simulate_density(
     options:
         A :class:`~repro.simulation.SimulationOptions` — the same
         object every simulation entry point accepts.  The historical
-        ``backend``/``atol`` keyword and positional forms keep working
-        through a :class:`DeprecationWarning` shim.
+        ``backend``/``atol`` keywords keep working through a
+        :class:`DeprecationWarning` shim.
 
     The request executes through the shared
     :class:`~repro.execution.Executor` pipeline: the circuit compiles
@@ -135,20 +134,13 @@ def simulate_density(
     from repro.execution.executor import default_executor
     from repro.execution.request import DENSITY, ExecutionRequest
 
-    if options is not None and not isinstance(
-        options, (SimulationOptions, dict)
-    ):
-        legacy_args = (options,) + tuple(legacy_args)
-        options = None
     opts = resolve_simulation_options(
         options,
-        tuple(legacy_args),
         {
             "backend": backend,
             "atol": atol,
             "dtype": dtype,
             "seed": seed,
-            "compile": compile,
             "fuse": fuse,
         },
         caller="simulate_density",

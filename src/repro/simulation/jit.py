@@ -135,7 +135,6 @@ class JitBackend(StridedBackend):
     """Numba-compiled bitwise kernels (Level-2 acceleration tier)."""
 
     name = "jit"
-    supports_out = True
 
     def __init__(self):
         if not HAVE_NUMBA:

@@ -8,11 +8,10 @@ object through the keyword-only ``options=`` argument::
     opts = SimulationOptions(backend='sparse', atol=1e-10)
     circuit.simulate('00', options=opts)
 
-The historical per-function keyword sets (``backend=``, ``atol=``,
-``dtype=`` passed directly, or positionally after ``start``) keep
-working through a shim that emits :class:`DeprecationWarning`; they are
-resolved into a :class:`SimulationOptions` by
-:func:`resolve_simulation_options`.
+The historical per-function keywords (``backend=``, ``atol=``,
+``dtype=`` passed directly) keep working through a shim that emits
+:class:`DeprecationWarning`; they are resolved into a
+:class:`SimulationOptions` by :func:`resolve_simulation_options`.
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ import numpy as np
 from repro.exceptions import SimulationError
 
 __all__ = ["SimulationOptions", "resolve_simulation_options"]
-
-#: Positional order of the legacy ``simulate(circuit, start, backend,
-#: atol, dtype)`` signature, consumed by the compatibility shim.
-_LEGACY_ORDER = ("backend", "atol", "dtype")
 
 
 @dataclass(frozen=True)
@@ -52,14 +47,11 @@ class SimulationOptions:
     seed:
         Default seed (int or :class:`numpy.random.Generator`) for
         shot sampling helpers that do not receive an explicit one.
-    compile:
-        When ``True`` (default) the circuit is compiled once into a
-        :class:`~repro.simulation.CompiledPlan` (memoized in an LRU
-        cache) and executed through it; ``False`` forces the historical
-        walk-the-op-tree path.
     fuse:
-        When compiling, merge adjacent same-qubit one-qubit gates and
-        coalesce consecutive diagonal gates (default ``True``).
+        Merge adjacent same-qubit one-qubit gates and coalesce
+        consecutive diagonal gates when compiling the circuit's
+        :class:`~repro.simulation.CompiledPlan` (default ``True``).
+        ``False`` keeps one plan step per source gate.
     trace:
         Tracing for this run: ``True`` records nested timing spans
         into a fresh :class:`~repro.observability.Tracer`, or pass a
@@ -98,7 +90,6 @@ class SimulationOptions:
     atol: float = 1e-12
     dtype: Any = np.complex128
     seed: Any = None
-    compile: bool = True
     fuse: bool = True
     trace: Any = None
     metrics: Any = None
@@ -135,11 +126,6 @@ class SimulationOptions:
             self, "min_shots_per_worker", int(self.min_shots_per_worker)
         )
 
-    @property
-    def use_plan(self) -> bool:
-        """Alias of :attr:`compile` (QuTiP-style naming)."""
-        return self.compile
-
     def replace(self, **changes) -> "SimulationOptions":
         """A copy of the options with the given fields replaced."""
         return dataclasses.replace(self, **changes)
@@ -147,20 +133,18 @@ class SimulationOptions:
 
 def resolve_simulation_options(
     options: Optional[SimulationOptions],
-    legacy_args: tuple = (),
     legacy_kwargs: Optional[dict] = None,
     caller: str = "simulate",
     stacklevel: int = 3,
 ) -> SimulationOptions:
-    """Merge new-style ``options`` with legacy positional/keyword forms.
+    """Merge new-style ``options`` with legacy keyword forms.
 
-    ``legacy_args`` are extra positional arguments after ``start``
-    (historically ``backend, atol, dtype``); ``legacy_kwargs`` are
-    explicitly-passed old keywords (values of ``None`` mean "not
-    given").  Legacy forms resolve onto a :class:`SimulationOptions`
-    and emit a single :class:`DeprecationWarning`, except when
-    ``options`` is also provided — then explicit keywords silently
-    override the options object (the supported new-style idiom).
+    ``legacy_kwargs`` are explicitly-passed old keywords (values of
+    ``None`` mean "not given").  Without ``options`` they resolve onto
+    a :class:`SimulationOptions` and emit a single
+    :class:`DeprecationWarning`; with ``options`` also provided,
+    explicit keywords silently override the options object (the
+    supported new-style idiom).
 
     ``stacklevel`` must make the warning point at the *user's* call
     site: the default 3 skips this function plus one driver frame
@@ -172,25 +156,7 @@ def resolve_simulation_options(
     legacy_kwargs = {
         k: v for k, v in (legacy_kwargs or {}).items() if v is not None
     }
-    if legacy_args:
-        if len(legacy_args) > len(_LEGACY_ORDER):
-            raise TypeError(
-                f"{caller}() takes at most {2 + len(_LEGACY_ORDER)} "
-                f"positional arguments"
-            )
-        for name, value in zip(_LEGACY_ORDER, legacy_args):
-            if name in legacy_kwargs:
-                raise TypeError(
-                    f"{caller}() got multiple values for argument {name!r}"
-                )
-            legacy_kwargs[name] = value
-        warnings.warn(
-            f"positional backend/atol/dtype arguments to {caller}() are "
-            "deprecated; pass options=SimulationOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    elif legacy_kwargs and options is None:
+    if legacy_kwargs and options is None:
         names = ", ".join(sorted(legacy_kwargs))
         warnings.warn(
             f"the {names} keyword(s) of {caller}() are deprecated; pass "

@@ -22,8 +22,6 @@ The executor compiles the circuit once into a
 :class:`~repro.simulation.plan.CompiledPlan` (memoized in an LRU
 cache) and replays the prepared steps through the single dispatch loop
 in :mod:`repro.execution.dispatch`.
-``SimulationOptions(compile=False)`` selects the historical
-walk-the-op-tree path instead — still through the same executor.
 """
 
 from __future__ import annotations
@@ -165,12 +163,9 @@ class Simulation:
         """Compilation/execution statistics
         (:class:`~repro.simulation.plan.PlanStats`) of the run.
 
-        Always populated: compiled runs carry the full plan stats
-        (fusion counts, cache hit/miss, per-stage times); uncompiled
-        runs (``compile=False``) carry a stats object with
-        ``nb_source_ops``/``nb_steps`` equal to the number of executed
-        ops, ``execute_seconds`` measured, and zero compile/signature
-        time (nothing was compiled, so ``cache_hit`` is ``False``)."""
+        Always populated: every run executes a compiled plan, so the
+        stats carry fusion counts, cache hit/miss and per-stage
+        times."""
         return self._stats
 
     def report(self):
@@ -378,12 +373,11 @@ def simulate(
     circuit,
     start="0",
     options: Optional[SimulationOptions] = None,
-    *legacy_args,
+    *,
     backend=None,
     atol: Optional[float] = None,
     dtype=None,
     seed=None,
-    compile: Optional[bool] = None,
     fuse: Optional[bool] = None,
     _stacklevel: int = 3,
 ):
@@ -398,8 +392,8 @@ def simulate(
 
     Configuration lives in ``options``
     (:class:`~repro.simulation.SimulationOptions`); the historical
-    ``backend``/``atol``/``dtype`` keyword and positional forms keep
-    working through a :class:`DeprecationWarning` shim.  See
+    ``backend``/``atol``/``dtype`` keywords keep working through a
+    :class:`DeprecationWarning` shim.  See
     :meth:`repro.circuit.QCircuit.simulate` for the parameters; this is
     the underlying free function.
 
@@ -425,21 +419,13 @@ def simulate(
     if isinstance(circuit, BoundCircuit):
         param_values = circuit.values
         circuit = circuit.base
-    if options is not None and not isinstance(
-        options, (SimulationOptions, dict)
-    ):
-        # legacy positional call: simulate(circuit, start, backend, ...)
-        legacy_args = (options,) + tuple(legacy_args)
-        options = None
     opts = resolve_simulation_options(
         options,
-        tuple(legacy_args),
         {
             "backend": backend,
             "atol": atol,
             "dtype": dtype,
             "seed": seed,
-            "compile": compile,
             "fuse": fuse,
         },
         caller="simulate",

@@ -146,9 +146,7 @@ def sweep(
     from repro.execution.executor import default_executor
     from repro.execution.request import SWEEP, ExecutionRequest
 
-    opts = resolve_simulation_options(
-        options, (), {}, caller="sweep"
-    )
+    opts = resolve_simulation_options(options, caller="sweep")
     job = default_executor().submit(
         ExecutionRequest(
             circuit,

@@ -4,11 +4,11 @@ and ``JitBackend`` (Level 2, optional numba).
 The load-bearing contracts:
 
 * the ``out=`` buffer convention is alias-safe — ``out is state``,
-  overlapping views, and the legacy ``out=None`` path all produce the
+  overlapping views, and the ``out=None`` path all produce the
   same bits as each other;
 * strided results agree with the reference ``kernel`` backend within
   the conformance statevector tolerance (1e-10) across the
-  planned x batched grid;
+  {fused, unfused} x batched grid;
 * the serial-vs-batched trajectory contract (bit-exact equality)
   holds for the strided backend;
 * the jit backend registers only when numba imports, and degrades to
@@ -74,7 +74,6 @@ class TestOutConvention:
         nb = circuit.nbQubits
         plan, steps = _gate_steps(circuit)
         eng = plan.engine
-        assert eng.supports_out
 
         def run(mode):
             state = _random_state(nb, seed=11)
@@ -159,26 +158,20 @@ class TestOutConvention:
 
         np.testing.assert_array_equal(run(True), run(False))
 
-    def test_base_backend_ignores_out(self):
-        """Legacy backends (supports_out=False) keep working when no
-        buffer is passed and never receive one from the dispatchers."""
-        be = get_backend("kernel")
-        assert be.supports_out is False
-
 
 class TestStridedConformance:
-    """Strided vs kernel across the planned x batched grid."""
+    """Strided vs kernel across the {fused, unfused} x batched grid."""
 
     @pytest.mark.parametrize("circuit", CIRCUITS)
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_statevector_matches_kernel(self, circuit, compiled):
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_statevector_matches_kernel(self, circuit, fuse):
         ref = simulate(
             circuit, "0" * circuit.nbQubits,
-            options=SimulationOptions(backend="kernel", compile=compiled),
+            options=SimulationOptions(backend="kernel", fuse=fuse),
         )
         got = simulate(
             circuit, "0" * circuit.nbQubits,
-            options=SimulationOptions(backend="strided", compile=compiled),
+            options=SimulationOptions(backend="strided", fuse=fuse),
         )
         assert (
             np.abs(got.states[0] - ref.states[0]).max() <= TOL
@@ -188,7 +181,6 @@ class TestStridedConformance:
         assert "strided" in available_backends("statevector")
         be = get_backend("strided")
         assert isinstance(be, StridedBackend)
-        assert be.supports_out is True
 
     def test_nested_circuit_measurements(self):
         c = nested_circuit()

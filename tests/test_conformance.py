@@ -110,7 +110,7 @@ def test_generator_validates_config():
 
 
 def test_tolerance_families():
-    assert tolerance_for("statevector:sparse/planned") == tolerance_for(
+    assert tolerance_for("statevector:sparse/fused") == tolerance_for(
         "statevector"
     )
     assert tolerance_for("pass.fuse_1q") == tolerance_for("pass")
@@ -178,28 +178,19 @@ def test_run_conformance_metrics(monkeypatch):
 
 
 class _TransposedKernelBackend(KernelBackend):
-    """KernelBackend applying every unplanned kernel transposed."""
+    """KernelBackend applying every planned kernel transposed."""
 
     name = "buggy-transposed"
 
-    def apply(
-        self,
-        state,
-        kernel,
-        targets,
-        nb_qubits,
-        controls=(),
-        control_states=(),
-        diagonal=False,
-    ):
-        return super().apply(
+    def apply_planned(self, state, step, nb_qubits, out=None):
+        return self.apply(
             state,
-            np.ascontiguousarray(kernel.T),
-            targets,
+            np.ascontiguousarray(step.kernel.T),
+            step.targets,
             nb_qubits,
-            controls,
-            control_states,
-            diagonal,
+            step.controls,
+            step.control_states,
+            step.diagonal,
         )
 
 

@@ -16,6 +16,7 @@ from repro.gates import (
     SWAP,
     iSWAP,
 )
+from repro.simulation import SimulationOptions
 
 
 class TestControlledGateGeneric:
@@ -144,7 +145,9 @@ class TestComplex64Support:
         c.push_back(Hadamard(0))
         c.push_back(CNOT(0, 1))
         c.push_back(Measurement(0))
-        sim = c.simulate("00", dtype=np.complex64)
+        sim = c.simulate(
+            "00", options=SimulationOptions(dtype=np.complex64)
+        )
         for state in sim.states:
             assert state.dtype == np.complex64
 
@@ -157,10 +160,12 @@ class TestComplex64Support:
         bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
         init = np.kron(v, bell)
         s64 = qtc.simulate(
-            init.astype(np.complex64), backend=backend,
-            dtype=np.complex64,
+            init.astype(np.complex64),
+            options=SimulationOptions(backend=backend, dtype=np.complex64),
         )
-        s128 = qtc.simulate(init, backend=backend)
+        s128 = qtc.simulate(
+            init, options=SimulationOptions(backend=backend)
+        )
         assert s64.results == s128.results
         np.testing.assert_allclose(
             s64.probabilities, s128.probabilities, atol=1e-5
@@ -174,6 +179,7 @@ class TestComplex64Support:
         c = QCircuit(1)
         c.push_back(Hadamard(0))
         sim = c.simulate(
-            np.array([1.0, 0.0]), dtype=np.complex64
+            np.array([1.0, 0.0]),
+            options=SimulationOptions(dtype=np.complex64),
         )
         assert sim.states[0].dtype == np.complex64

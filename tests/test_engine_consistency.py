@@ -26,7 +26,7 @@ from repro.gates import (
     T,
 )
 from repro.noise import noisy_counts
-from repro.simulation import simulate_density
+from repro.simulation import SimulationOptions, simulate_density
 from repro.simulation.mps import simulate_mps
 from repro.simulation.stabilizer import stabilizer_counts
 
@@ -126,9 +126,13 @@ def test_clifford_circuits_add_the_stabilizer_engine(seed):
 def test_backend_trio_identical_branches():
     rng = np.random.default_rng(7)
     circuit = random_circuit(3, 12, rng)
-    reference = circuit.simulate("000", backend="kernel")
+    reference = circuit.simulate(
+        "000", options=SimulationOptions(backend="kernel")
+    )
     for backend in ("sparse", "einsum"):
-        other = circuit.simulate("000", backend=backend)
+        other = circuit.simulate(
+            "000", options=SimulationOptions(backend=backend)
+        )
         assert other.results == reference.results
         np.testing.assert_allclose(
             other.probabilities, reference.probabilities, atol=1e-11

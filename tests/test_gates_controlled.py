@@ -132,7 +132,8 @@ class TestCPhase:
     def test_theta_accessors(self):
         g = CPhase(0, 1, 0.4)
         assert g.theta == pytest.approx(0.4)
-        g.theta = 0.9
+        with pytest.warns(DeprecationWarning):
+            g.theta = 0.9
         assert g.theta == pytest.approx(0.9)
         assert g.angle.theta == pytest.approx(0.9)
 
@@ -176,7 +177,8 @@ class TestControlledRotations:
 
     def test_theta_setter(self):
         g = CRotationX(0, 1, 0.4)
-        g.theta = 0.5
+        with pytest.warns(DeprecationWarning):
+            g.theta = 0.5
         assert g.rotation.theta == pytest.approx(0.5)
 
 

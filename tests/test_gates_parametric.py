@@ -46,7 +46,8 @@ class TestPhase:
 
     def test_theta_setter(self):
         p = Phase(0)
-        p.theta = 1.3
+        with pytest.warns(DeprecationWarning):
+            p.theta = 1.3
         assert p.theta == pytest.approx(1.3)
         p.angle = QAngle(0.4)
         assert p.theta == pytest.approx(0.4)
@@ -108,7 +109,8 @@ class TestRotations1Q:
     def test_theta_setter_and_accessors(self):
         r = RotationY(0)
         assert r.theta == 0.0
-        r.theta = 0.6
+        with pytest.warns(DeprecationWarning):
+            r.theta = 0.6
         assert r.cos == pytest.approx(math.cos(0.3))
         assert r.sin == pytest.approx(math.sin(0.3))
         r.rotation = QRotation(0.2)
@@ -226,7 +228,8 @@ class TestRotations2Q:
 
     def test_theta_setter(self):
         g = RotationXX(0, 1, 0.1)
-        g.theta = 0.9
+        with pytest.warns(DeprecationWarning):
+            g.theta = 0.9
         assert g.theta == pytest.approx(0.9)
         g.rotation = QRotation(0.2)
         assert g.theta == pytest.approx(0.2)

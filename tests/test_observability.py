@@ -407,11 +407,11 @@ class TestSimulationHooks:
         assert report.stats is sim.stats
         assert report.wall_seconds > 0  # falls back to PlanStats times
 
-    def test_compile_false_instrumented(self):
+    def test_unfused_run_instrumented(self):
         sim = simulate(
             bell(),
             "00",
-            options=SimulationOptions(compile=False, trace=True),
+            options=SimulationOptions(fuse=False, trace=True),
         )
         assert sim.stats is not None
         assert sim.stats.nb_source_ops == 4

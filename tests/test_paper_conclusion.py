@@ -8,6 +8,7 @@ this reproduction.
 import numpy as np
 
 import repro as qclab
+from repro.simulation import SimulationOptions
 
 
 class TestSection6Claims:
@@ -92,8 +93,12 @@ class TestSection6Claims:
         c.push_back(qclab.qgates.Hadamard(0))
         c.push_back(qclab.qgates.CNOT(0, 1))
         c.push_back(qclab.Measurement(0))
-        ref = c.simulate("00", backend="sparse")
-        opt = c.simulate("00", backend="kernel")
+        ref = c.simulate(
+            "00", options=SimulationOptions(backend="sparse")
+        )
+        opt = c.simulate(
+            "00", options=SimulationOptions(backend="kernel")
+        )
         assert ref.results == opt.results
         np.testing.assert_allclose(
             ref.probabilities, opt.probabilities, atol=1e-12

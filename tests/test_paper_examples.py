@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import repro as qclab
+from repro.simulation import SimulationOptions
 
 
 V = np.array([1 / np.sqrt(2), 1j / np.sqrt(2)])
@@ -221,8 +222,12 @@ class TestQCLABppTransition:
         qtc.push_back(qclab.qgates.CZ(0, 2))
         bell = np.array([1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
         initial = np.kron(V, bell)
-        reference = qtc.simulate(initial, backend="sparse")
-        optimized = qtc.simulate(initial, backend="kernel")
+        reference = qtc.simulate(
+            initial, options=SimulationOptions(backend="sparse")
+        )
+        optimized = qtc.simulate(
+            initial, options=SimulationOptions(backend="kernel")
+        )
         assert reference.results == optimized.results
         np.testing.assert_allclose(
             reference.probabilities, optimized.probabilities, atol=1e-12

@@ -45,6 +45,8 @@ from repro.simulation import (
 )
 from repro.simulation.backends import _REGISTRY
 from repro.simulation.plan import GATE
+from repro.simulation.simulate import apply_operation
+from repro.simulation.state import initial_state
 
 
 @pytest.fixture(autouse=True)
@@ -115,7 +117,8 @@ class TestPlanCache:
         c.push_back(ry)
         sig1 = circuit_signature(c)
         c.simulate("0")
-        ry.theta = 1.5
+        with pytest.warns(DeprecationWarning):
+            ry.theta = 1.5
         assert circuit_signature(c) != sig1
         s = c.simulate("0")
         assert not s.stats.cache_hit
@@ -218,35 +221,32 @@ class TestFusion:
         rng = np.random.default_rng(42)
         for trial in range(5):
             c = random_circuit(4, 25, rng)
+            # the paper's Section 3.2 engine, one step per gate
             ref = simulate(
                 c,
                 "0000",
-                options=SimulationOptions(
-                    backend="einsum", compile=False
-                ),
+                options=SimulationOptions(backend="sparse", fuse=False),
             ).states[0]
-            for compile_flag in (True, False):
+            for fuse in (True, False):
                 got = simulate(
                     c,
                     "0000",
-                    options=SimulationOptions(
-                        backend=backend, compile=compile_flag
-                    ),
+                    options=SimulationOptions(backend=backend, fuse=fuse),
                 ).states[0]
-                assert np.allclose(got, ref, atol=1e-12), (
-                    trial,
-                    compile_flag,
-                )
+                assert np.allclose(got, ref, atol=1e-12), (trial, fuse)
 
     def test_unfused_plan_is_bit_identical_to_legacy(self):
+        """An unfused plan reproduces the per-gate ``apply_operation``
+        walk over the op tree bit for bit."""
         rng = np.random.default_rng(3)
         c = random_circuit(3, 20, rng)
         a = simulate(
             c, "000", options=SimulationOptions(fuse=False)
         ).states[0]
-        b = simulate(
-            c, "000", options=SimulationOptions(compile=False)
-        ).states[0]
+        engine = get_backend("kernel")
+        b = initial_state("000", 3)
+        for gate, offset in c.operations():
+            b = apply_operation(engine, b, gate, offset, 3)
         assert np.array_equal(a, b)
 
     def test_fusion_disabled_under_noise(self):
@@ -275,10 +275,8 @@ class TestPlanExecution:
         c.push_back(CNOT(0, 1))
         c.push_back(Measurement(0))
         c.push_back(Reset(1))
-        for compile_flag in (True, False):
-            s = simulate(
-                c, "00", options=SimulationOptions(compile=compile_flag)
-            )
+        for fuse in (True, False):
+            s = simulate(c, "00", options=SimulationOptions(fuse=fuse))
             assert sorted(s.results) == ["0", "1"]
             assert np.allclose(s.probabilities, [0.5, 0.5])
 
@@ -310,12 +308,12 @@ class TestPlanExecution:
         )
         assert np.allclose(m, cnot @ np.kron(h, np.eye(2)))
 
-    def test_paper_examples_identical_with_and_without_compile(self):
+    def test_paper_examples_identical_with_and_without_fusion(self):
         from repro.algorithms.teleportation import teleportation_circuit
 
         qtc = teleportation_circuit()
         a = qtc.simulate("000")
-        b = qtc.simulate("000", options=SimulationOptions(compile=False))
+        b = qtc.simulate("000", options=SimulationOptions(fuse=False))
         assert a.results == b.results
         assert np.array_equal(a.probabilities, b.probabilities)
         for x, y in zip(a.states, b.states):
@@ -328,7 +326,7 @@ class TestSimulationOptions:
         assert o.backend == "kernel"
         assert o.atol == 1e-12
         assert o.dtype is np.complex128
-        assert o.compile and o.fuse and o.use_plan
+        assert o.fuse
 
     def test_validation(self):
         with pytest.raises(SimulationError):
@@ -345,10 +343,13 @@ class TestSimulationOptions:
             s = simulate(bell(), "00", backend="sparse")
         assert s.backend == "sparse"
 
-    def test_legacy_positional_warns(self):
-        with pytest.warns(DeprecationWarning):
-            s = simulate(bell(), "00", "sparse", 1e-10)
-        assert s.backend == "sparse"
+    def test_positional_backend_rejected(self):
+        # the third positional slot is ``options``; backend/atol/dtype
+        # are keyword-only
+        with pytest.raises(SimulationError):
+            simulate(bell(), "00", "sparse")
+        with pytest.raises(TypeError):
+            simulate(bell(), "00", None, "sparse")
 
     def test_override_with_options_does_not_warn(self):
         with warnings.catch_warnings():
@@ -377,15 +378,14 @@ class TestSimulationOptions:
         s = c.simulate("00", options=SimulationOptions(seed=7))
         assert np.array_equal(s.counts(100), s.counts(100, seed=7))
 
-    def test_compile_false_still_has_stats(self):
-        # uncompiled runs are measurable too: stats is always populated
-        s = simulate(bell(), "00", options=SimulationOptions(compile=False))
+    def test_unfused_run_has_stats(self):
+        s = simulate(bell(), "00", options=SimulationOptions(fuse=False))
         assert s.stats is not None
         assert s.stats.nb_source_ops == 4  # H, CNOT, 2 measurements
+        assert s.stats.nb_steps == 4
         assert s.stats.nb_gate_steps == 2
         assert s.stats.execute_seconds > 0.0
         assert not s.stats.cache_hit
-        assert s.stats.compile_seconds == 0.0
 
 
 class TestRegistry:
@@ -424,9 +424,11 @@ class TestRegistry:
             name = "counting"
             planned = 0
 
-            def apply_planned(self, state, step, nb_qubits):
+            def apply_planned(self, state, step, nb_qubits, out=None):
                 type(self).planned += 1
-                return super().apply_planned(state, step, nb_qubits)
+                return super().apply_planned(
+                    state, step, nb_qubits, out=out
+                )
 
         eng = Counting()
         s = simulate(bell(), "00", options=SimulationOptions(backend=eng))

@@ -114,6 +114,17 @@ class TestProtocolErrors:
         assert body["error"]["code"] == "bad-options"
         assert "max_workers" in body["error"]["message"]
 
+    def test_compile_option_is_400(self, gateway):
+        status, _, body = post(
+            gateway, simulate_body(options={"compile": False})
+        )
+        assert status == 400
+        assert body["error"]["code"] == "bad-options"
+        assert "compile" in body["error"]["message"]
+        assert body["error"]["detail"]["allowed"] == [
+            "backend", "atol", "dtype", "fuse",
+        ]
+
     def test_bad_dtype_is_400(self, gateway):
         status, _, body = post(
             gateway, simulate_body(options={"dtype": "float64"})

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.circuit import Measurement, QCircuit, Reset
 from repro.exceptions import SimulationError, StateError
 from repro.gates import CNOT, CZ, Hadamard, PauliX, RotationY
+from repro.simulation import SimulationOptions
 from repro.simulation.state import basis_state, initial_state, random_state
 
 
@@ -360,8 +361,10 @@ class TestBackendParity:
         c.push_back(Measurement(0, "y"))
         c.push_back(CNOT(1, 2))
         c.push_back(Measurement(2))
-        ref = c.simulate("000", backend="kernel")
-        sim = c.simulate("000", backend=backend)
+        ref = c.simulate(
+            "000", options=SimulationOptions(backend="kernel")
+        )
+        sim = c.simulate("000", options=SimulationOptions(backend=backend))
         assert sim.results == ref.results
         np.testing.assert_allclose(
             sim.probabilities, ref.probabilities, atol=1e-12

@@ -49,7 +49,8 @@ class TestFlatten:
         outer = QCircuit(3)
         outer.push_back(Hadamard(0))
         outer.push_back(sub)
-        flat = flatten(outer)
+        with pytest.warns(DeprecationWarning):
+            flat = flatten(outer)
         assert len(flat) == 2
         assert flat[1].qubits == (1, 2)
         np.testing.assert_allclose(flat.matrix, outer.matrix)
@@ -59,7 +60,8 @@ class TestFlatten:
         rx = RotationX(0, 0.5)
         c.push_back(rx)
         flat = flatten(c)
-        flat[0].theta = 1.0
+        with pytest.warns(DeprecationWarning):
+            flat[0].theta = 1.0
         assert rx.theta == pytest.approx(0.5)
 
     def test_gate_counts(self):
