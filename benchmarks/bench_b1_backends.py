@@ -29,7 +29,7 @@ def _run(circuit, backend):
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("backend", ["kernel", "sparse", "einsum"])
+@pytest.mark.parametrize("backend", ["kernel", "sparse"])
 def test_b1_scaling(benchmark, n, backend):
     benchmark.group = f"B1 layered n={n}"
     circuit = layered_circuit(n, LAYERS)
@@ -42,12 +42,12 @@ def test_b1_rows_and_crossover(benchmark):
     backend beats the sparse reference at scale."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print()
-    print("B1 | n kernel(s) sparse(s) einsum(s) speedup(sparse/kernel)")
+    print("B1 | n kernel(s) sparse(s) speedup(sparse/kernel)")
     all_times = {}
     for n in SIZES:
         circuit = layered_circuit(n, LAYERS)
         times = {}
-        for backend in ("kernel", "sparse", "einsum"):
+        for backend in ("kernel", "sparse"):
             reps = 3
             best = float("inf")
             for _ in range(reps):
@@ -58,7 +58,6 @@ def test_b1_rows_and_crossover(benchmark):
         all_times[n] = times
         print(
             f"B1 | {n:2d} {times['kernel']:.6f} {times['sparse']:.6f} "
-            f"{times['einsum']:.6f} "
             f"{times['sparse'] / times['kernel']:6.1f}x"
         )
     # The qualitative claim: the optimized backend wins at every size

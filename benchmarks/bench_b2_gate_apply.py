@@ -72,11 +72,9 @@ def test_b2_rows(benchmark):
     for name, gate in small.items():
         outs = [
             apply_operation(get_backend(b), state.copy(), gate, 0, n)
-            for b in ("kernel", "sparse", "einsum")
+            for b in ("kernel", "sparse")
         ]
-        agree = np.allclose(outs[0], outs[1], atol=1e-12) and np.allclose(
-            outs[0], outs[2], atol=1e-12
-        )
+        agree = np.allclose(outs[0], outs[1], atol=1e-12)
         print(f"B2 | {name} {agree}")
         assert agree
 

@@ -28,7 +28,7 @@ def test_e1_rows(benchmark):
         print(f"E1 circuit (1) | {result!r:>4} {p:.4f}")
 
 
-@pytest.mark.parametrize("backend", ["kernel", "sparse", "einsum"])
+@pytest.mark.parametrize("backend", ["kernel", "sparse"])
 def test_e1_simulate(benchmark, backend):
     circuit = bell_circuit()
     opts = SimulationOptions(backend=backend)

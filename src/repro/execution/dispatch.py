@@ -307,7 +307,7 @@ def run_sweep(plan, cols: Mapping, nb_points: int, start=None) -> np.ndarray:
         backend=engine.name,
         nb_params=len(cols),
     ):
-        # concrete steps double-buffer the whole (P, 2**n) batch —
+        # every step double-buffers the whole (P, 2**n) batch — the
         # same zero-allocation flip as run_plan
         spare = np.empty_like(states)
         for step in plan.steps:
@@ -323,9 +323,12 @@ def run_sweep(plan, cols: Mapping, nb_points: int, start=None) -> np.ndarray:
             kernels = np.ascontiguousarray(
                 step.op.kernel_values(thetas).astype(dtype, copy=False)
             )
-            states = engine.apply_planned_sweep(
-                states, step, nb_qubits, kernels
+            res = engine.apply_planned_sweep(
+                states, step, nb_qubits, kernels, out=spare
             )
+            if res is spare:
+                spare = states
+            states = res
         if inst.enabled:
             inst.metrics.counter(
                 SWEEP_POINTS,

@@ -8,13 +8,13 @@ into a :class:`~repro.observability.MetricsRegistry`:
 * ``repro_kernel_bytes_total{backend,kind}`` — approximate bytes
   read+written per application (the backend's ``planned_bytes``
   estimate for planned steps, full-state streaming otherwise),
-* ``repro_plan_prepare_seconds{backend,stage}`` — wall time inside
-  the ``prepare_step``/``refresh_step`` compile-time hooks,
 
 where ``kind`` classifies the gate structurally (``1q`` / ``diag`` /
 ``kq`` / ``controlled``), matching the gate classes benchmarked by
-``bench_b2``.  Together the three kernel series back the per-op cost
-attribution table (:meth:`~repro.observability.ProfileReport.op_table`).
+``bench_b2``.  Together with ``repro_plan_prepare_seconds`` (recorded
+by plan compilation and binding) the three kernel series back the
+per-op cost attribution table
+(:meth:`~repro.observability.ProfileReport.op_table`).
 The wrapper is applied by the simulation drivers only when
 instrumentation is enabled, so the uninstrumented hot path never sees
 it.
@@ -28,7 +28,6 @@ from repro.observability.metrics import (
     GATE_APPLIES,
     KERNEL_BYTES,
     KERNEL_SECONDS,
-    PLAN_PREP_SECONDS,
     MetricsRegistry,
 )
 
@@ -51,14 +50,32 @@ def step_kind(step) -> str:
     return gate_kind(step.targets, step.controls, step.diagonal)
 
 
+class _KindHandles(dict):
+    """``kind -> (applies, seconds, bytes)`` bound metric children of
+    one :class:`InstrumentedBackend`, created on first lookup."""
+
+    def __init__(self, owner):
+        super().__init__()
+        self.owner = owner
+
+    def __missing__(self, kind):
+        owner = self.owner
+        handles = self[kind] = (
+            owner._applies.labels(backend=owner.name, kind=kind),
+            owner._seconds.labels(backend=owner.name, kind=kind),
+            owner._bytes.labels(backend=owner.name, kind=kind),
+        )
+        return handles
+
+
 class InstrumentedBackend:
     """Wraps a backend; delegates everything, timing each apply.
 
     Deliberately *not* a :class:`~repro.simulation.Backend` subclass —
-    it duck-types the ``prepare_step``/``apply_planned``/``apply``
-    surface instead, which keeps :mod:`repro.observability` free of
-    simulation imports (the simulation layer imports observability,
-    not the other way around).
+    it duck-types the ``apply_planned``/``apply`` surface instead,
+    which keeps :mod:`repro.observability` free of simulation imports
+    (the simulation layer imports observability, not the other way
+    around).
     """
 
     kind = "statevector"
@@ -75,45 +92,14 @@ class InstrumentedBackend:
         self._bytes = metrics.counter(
             KERNEL_BYTES, "approximate bytes touched by backend kernels"
         )
-        self._prep = metrics.histogram(
-            PLAN_PREP_SECONDS,
-            "wall seconds inside prepare_step/refresh_step hooks",
-        )
-        # pre-bound label children per gate kind: keeps the per-apply
-        # recording gap (which lands inside the execute span but outside
-        # the timed kernel region) as small as possible
-        self._handles = {
-            kind: (
-                self._applies.labels(backend=self.name, kind=kind),
-                self._seconds.labels(backend=self.name, kind=kind),
-                self._bytes.labels(backend=self.name, kind=kind),
-            )
-            for kind in ("1q", "diag", "kq", "controlled")
-        }
+        # label children per gate kind, bound on a kind's first apply:
+        # keeps the per-apply recording gap small without paying for
+        # kinds a run never applies
+        self._handles = _KindHandles(self)
 
     def planned_bytes(self, step, states, nb_qubits):
         """Delegate the byte estimate to ``inner``."""
         return self.inner.planned_bytes(step, states, nb_qubits)
-
-    def prepare_step(self, step, nb_qubits, tables):
-        """Timed pass-through to ``inner.prepare_step``, labelled by
-        the step's structural kind for per-kind attribution."""
-        t0 = perf_counter()
-        self.inner.prepare_step(step, nb_qubits, tables)
-        self._prep.observe(
-            perf_counter() - t0, backend=self.name, stage="prepare",
-            kind=step_kind(step),
-        )
-
-    def refresh_step(self, step, nb_qubits, tables):
-        """Timed pass-through to ``inner.refresh_step``, labelled by
-        the step's structural kind for per-kind attribution."""
-        t0 = perf_counter()
-        self.inner.refresh_step(step, nb_qubits, tables)
-        self._prep.observe(
-            perf_counter() - t0, backend=self.name, stage="refresh",
-            kind=step_kind(step),
-        )
 
     def apply_planned(self, state, step, nb_qubits, out=None):
         """Timed pass-through to ``inner.apply_planned``, forwarding

@@ -65,8 +65,8 @@ GATE_APPLIES = "repro_gate_applies_total"
 KERNEL_SECONDS = "repro_kernel_seconds"
 #: Approximate bytes read+written by backend kernels (same labels).
 KERNEL_BYTES = "repro_kernel_bytes_total"
-#: Wall seconds spent in backend ``prepare_step``/``refresh_step``
-#: hooks, labelled by ``backend`` and ``stage``.
+#: Wall seconds building plan-step kernels, labelled by ``backend``,
+#: ``kind`` and ``stage`` (``prepare`` at compile, ``refresh`` at bind).
 PLAN_PREP_SECONDS = "repro_plan_prepare_seconds"
 #: Source gates merged away by plan fusion, labelled by ``kind``.
 FUSED_STEPS = "repro_fused_steps_total"

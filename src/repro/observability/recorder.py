@@ -313,7 +313,6 @@ def flight_recorder() -> FlightRecorder:
     return _GLOBAL
 
 
-def record_event(kind: str, **data) -> None:
-    """Append one event to the global recorder (module-level helper
-    so hot paths skip the singleton lookup)."""
-    _GLOBAL.record(kind, **data)
+#: Append one event to the global recorder: the singleton's bound
+#: ``record``, so hot paths skip the lookup and a second keyword repack.
+record_event = _GLOBAL.record

@@ -43,7 +43,7 @@ import numpy as np
 from repro.exceptions import QCLabError
 from repro.execution import ExecutionRequest
 from repro.io import fromQASM, circuit_from_dict
-from repro.simulation import SimulationOptions
+from repro.simulation import SimulationOptions, available_backends
 from repro.simulation.plan import circuit_signature
 
 __all__ = [
@@ -230,10 +230,19 @@ def _parse_options(payload: dict) -> Tuple[SimulationOptions, tuple]:
             detail={"allowed": list(OPTION_KEYS)},
         )
     fields = dict(raw)
-    if "backend" in fields and not isinstance(fields["backend"], str):
-        raise ServiceError(
-            400, "bad-options", "options.backend must be a string"
-        )
+    if "backend" in fields:
+        if not isinstance(fields["backend"], str):
+            raise ServiceError(
+                400, "bad-options", "options.backend must be a string"
+            )
+        allowed = available_backends("statevector")
+        if fields["backend"].lower() not in allowed:
+            raise ServiceError(
+                400, "bad-options",
+                f"options.backend {fields['backend']!r} is not a "
+                "statevector backend",
+                detail={"allowed": list(allowed)},
+            )
     if "dtype" in fields:
         dt = fields["dtype"]
         if dt not in _DTYPES:

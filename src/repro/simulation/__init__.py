@@ -3,16 +3,14 @@
 The paper describes two simulation engines sharing one API: QCLAB's
 MATLAB reference (sparse ``I (x) U (x) I`` operators, Section 3.2) and
 QCLAB++'s optimized kernels.  This package reproduces that split with
-interchangeable backends (``sparse``, ``kernel``, ``einsum``, plus the
-acceleration tier: ``strided`` always, ``jit`` when numba is
-installed) and implements the full measurement model of Section 3.3:
+two interchangeable backends (``sparse`` and the default ``kernel``)
+and implements the full measurement model of Section 3.3:
 branching mid-circuit measurements, arbitrary bases, shot sampling
 (``counts``) and reduced states.
 """
 
 from repro.simulation.backends import (
     Backend,
-    EinsumBackend,
     KernelBackend,
     SparseKronBackend,
     available_backends,
@@ -22,8 +20,6 @@ from repro.simulation.backends import (
     register_backend,
     register_engine,
 )
-from repro.simulation.accel import StridedBackend
-from repro.simulation.jit import HAVE_NUMBA, JitBackend
 from repro.simulation.options import (
     SimulationOptions,
     resolve_simulation_options,
@@ -69,10 +65,6 @@ __all__ = [
     "Backend",
     "KernelBackend",
     "SparseKronBackend",
-    "EinsumBackend",
-    "StridedBackend",
-    "JitBackend",
-    "HAVE_NUMBA",
     "get_backend",
     "default_backend",
     "available_backends",

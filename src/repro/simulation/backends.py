@@ -1,6 +1,7 @@
 """Interchangeable gate-application backends.
 
-Three engines implement the same :class:`Backend` interface:
+Two engines implement the same :class:`Backend` interface, the split
+the paper draws between QCLAB and QCLAB++:
 
 ``SparseKronBackend``
     The paper's reference algorithm (Section 3.2): build the sparse
@@ -9,33 +10,29 @@ Three engines implement the same :class:`Backend` interface:
     is exactly what QCLAB does in MATLAB.
 
 ``KernelBackend``
-    The QCLAB++-style optimized engine: never materializes a register
-    operator.  One-qubit gates apply through a strided reshape; k-qubit
-    and controlled gates gather only the active subspace with bitwise
-    index maps; diagonal gates multiply amplitudes in place.
-
-``EinsumBackend``
-    A tensor-contraction engine (``reshape``/``tensordot``/``moveaxis``)
-    used as a third point of comparison and as a cross-validation oracle
-    in the test suite.
+    The QCLAB++-style optimized engine (the default): it never
+    materializes a register operator and precomputes no index tables.
+    One-qubit gates run as one GEMM or one broadcast matmul on a
+    strided view of the state; diagonal and controlled gates slice the
+    ``(2,)*n`` view at the control values and act on the target axes
+    only.
 
 All backends accept states of shape ``(dim,)`` or batches ``(dim, m)``
 (the latter powers :attr:`QCircuit.matrix`).  Backends may modify the
 input array in place and/or return a new array; callers must use the
 **returned** array and pass owned storage.
 
-:meth:`Backend.apply_planned` and :meth:`Backend.apply_planned_batched`
-take an ``out=`` scratch buffer on every backend: the dispatch loops
-always pass one, so they can double-buffer two arrays for a whole run
-instead of allocating per step.  A backend may write its result into
-``out`` (the acceleration tier, :mod:`repro.simulation.accel` and
-:mod:`repro.simulation.jit`, does) or ignore it and return ``state``
-or a fresh array (``kernel``, ``sparse`` and ``einsum`` do).
+:meth:`Backend.apply_planned`, :meth:`Backend.apply_planned_batched`
+and :meth:`Backend.apply_planned_sweep` take an ``out=`` scratch
+buffer: the dispatch loops always pass one and double-buffer two
+arrays for a whole run.  ``kernel`` writes its result into ``out``
+when it needs a second buffer at all; ``sparse`` ignores it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -43,13 +40,12 @@ import scipy.sparse as sp
 
 from repro.exceptions import SimulationError
 from repro.gates.base import controlled_matrix
-from repro.utils.bits import gather_indices, insert_bits, subindex_map
+from repro.utils.bits import insert_bits
 
 __all__ = [
     "Backend",
     "KernelBackend",
     "SparseKronBackend",
-    "EinsumBackend",
     "get_backend",
     "default_backend",
     "available_backends",
@@ -86,32 +82,6 @@ class Backend(ABC):
 
     # -- compiled-plan hooks ------------------------------------------------
 
-    def prepare_step(self, step, nb_qubits: int, tables: dict) -> None:
-        """Precompute backend-specific data for one plan step.
-
-        Called once at compile time by
-        :func:`repro.simulation.plan.compile_circuit`; ``tables`` is a
-        per-plan scratch cache so steps with identical index structure
-        share their tables.  The default prepares nothing —
-        :meth:`apply_planned` falls back to :meth:`apply`.
-        """
-
-    def refresh_step(self, step, nb_qubits: int, tables: dict) -> None:
-        """Recompute the value-dependent pieces of an already-prepared
-        step after its kernel changed (a parametric re-``bind``).
-
-        The default conservatively clears every derived field and
-        re-runs :meth:`prepare_step`; backends whose index tables are
-        value-independent override this to refresh only what actually
-        follows the kernel values.
-        """
-        step.rows = None
-        step.flat_rows = None
-        step.diag_rep = None
-        step.diag_flat = None
-        step.aux = None
-        self.prepare_step(step, nb_qubits, tables)
-
     def planned_bytes(self, step, states, nb_qubits: int) -> int:
         """Approximate bytes read+written by one application of
         ``step`` to ``states`` (a ``(dim,)`` state or ``(B, dim)``
@@ -120,7 +90,6 @@ class Backend(ABC):
         Feeds the per-op cost-attribution table
         (:meth:`repro.observability.ProfileReport.op_table`); the
         default assumes the whole state is streamed in and out once.
-        Backends that touch only a gathered subspace override this.
         """
         return 2 * states.nbytes
 
@@ -129,9 +98,7 @@ class Backend(ABC):
         :class:`repro.simulation.plan.PlanStep`).
 
         The default delegates to :meth:`apply` with the step's
-        pre-resolved absolute qubits and dtype-cast kernel; optimized
-        backends override this to reuse the index tables attached by
-        :meth:`prepare_step`.
+        pre-resolved absolute qubits and dtype-cast kernel.
 
         ``out`` is a preallocated scratch buffer (same shape and dtype
         as ``state``) or ``None``.  The returned array must be
@@ -215,15 +182,16 @@ class Backend(ABC):
 
     def apply_planned_sweep(
         self, states: np.ndarray, step, nb_qubits: int,
-        kernels: np.ndarray,
+        kernels: np.ndarray, out=None,
     ) -> np.ndarray:
         """Apply a parametric plan step with per-row kernels across a
         ``(P, 2**n)`` parameter batch.
 
         ``kernels[i]`` is the dtype-cast target kernel for row ``i``
-        (controls/targets/diagonality come from ``step``).  The default
-        loops :meth:`apply` per row; vectorized backends contract the
-        whole kernel stack at once.
+        (controls/targets/diagonality come from ``step``); ``out`` is
+        a scratch buffer as in :meth:`apply_planned`.  The default
+        loops :meth:`apply` per row and ignores ``out``; vectorized
+        backends contract the whole kernel stack at once.
         """
         self._validate_batch(states, nb_qubits)
         for i in range(states.shape[0]):
@@ -282,203 +250,278 @@ class Backend(ABC):
             raise SimulationError("targets must be sorted ascending")
 
 
+# -- the kernel engine -------------------------------------------------------
+#
+# Every apply of :class:`KernelBackend` runs through :func:`_run` on a
+# ``(B, 2**n, M)`` array: ``B`` stacked states (1 for a single run, the
+# batch or sweep width otherwise) and ``M`` trailing matrix columns (1
+# except for the ``(dim, m)`` form behind ``QCircuit.matrix``).  A
+# row's arithmetic never depends on ``B``, so a batched run is
+# bit-identical to the same rows run one at a time.
+
+#: Right-block width (amplitudes right of the target, times ``M``) at
+#: or below which a one-qubit gate runs as GEMMs against
+#: ``kron(U, I_right)``, a matrix of at most 32x32; wider blocks run a
+#: broadcast matmul over contiguous ``(2, cols)`` panels instead.
+GEMM_MAX_RIGHT = 16
+
+#: Upper bound on ``M*N*K`` of one BLAS call.  Larger calls are split
+#: into stacks: OpenBLAS hands calls above about ``2**16`` to its worker
+#: threads, and on a loaded host a call can then wait milliseconds for
+#: a worker instead of microseconds for the arithmetic.
+BLAS_MAX_WORK = 1 << 15
+
+
+def _stacked(arr, batched: bool):
+    """``(B, 2**n, M)`` C-contiguous view of a state, matrix or batch
+    (a copy when ``arr`` is not C-contiguous)."""
+    if not arr.flags.c_contiguous:
+        arr = np.ascontiguousarray(arr)
+    shape = arr.shape
+    if batched:
+        return arr.reshape(shape[0], shape[1], 1)
+    if len(shape) == 1:
+        return arr.reshape(1, shape[0], 1)
+    if len(shape) == 2:
+        return arr.reshape(1, shape[0], shape[1])
+    raise SimulationError(
+        f"state must be 1- or 2-dimensional, got shape {shape}"
+    )
+
+
+def _scratch(out, arr, stack):
+    """``out`` viewed like ``stack`` (the stacked ``arr``), or ``None``
+    when it cannot serve: absent, another layout, or overlapping."""
+    if (
+        out is None
+        or out.shape != arr.shape
+        or out.dtype != arr.dtype
+        or not out.flags.c_contiguous
+        or np.may_share_memory(out, arr)
+    ):
+        return None
+    return out.reshape(stack.shape)
+
+
+@lru_cache(maxsize=4096)
+def _layout(nb_qubits, batch, cols, targets, controls, control_states):
+    """Shapes and indices of one gate on a ``(B, 2**n, M)`` array.
+
+    Returns ``(shape, index, blocks, diag_shape)``: ``shape`` views the
+    array as ``(B, g0, 2, g1, 2, ..., g_last)`` with one size-2 axis
+    per gate qubit and the spectators between them merged; ``index``
+    slices that view at the control values; ``blocks`` index the
+    slice at each target bit pattern, in kernel order (first target
+    most significant); ``diag_shape`` broadcasts a diagonal over the
+    slice's target axes (after a leading batch axis).
+    """
+    shape = [batch]
+    axes = {}
+    prev = -1
+    for q in sorted(targets + controls):
+        shape.append(1 << (q - prev - 1))
+        axes[q] = len(shape)
+        shape.append(2)
+        prev = q
+    shape.append((1 << (nb_qubits - 1 - prev)) * cols)
+    index = [slice(None)] * len(shape)
+    for q, s in zip(controls, control_states):
+        index[axes[q]] = s
+    kept = [a for a, i in enumerate(index) if isinstance(i, slice)]
+    target_axes = [kept.index(axes[q]) for q in targets]
+    k = len(targets)
+    blocks = []
+    for bits in range(1 << k):
+        block = [slice(None)] * len(kept)
+        for j, axis in enumerate(target_axes):
+            block[axis] = (bits >> (k - 1 - j)) & 1
+        blocks.append(tuple(block))
+    diag_shape = tuple(
+        2 if a in target_axes else 1 for a in range(1, len(kept))
+    )
+    return tuple(shape), tuple(index), tuple(blocks), diag_shape
+
+
+def _cached(step, kernel, key, build):
+    """``build()``, cached on ``step.aux`` for this kernel object and
+    ``key``; a re-``bind`` swaps ``step.kernel`` and so rebuilds it.
+    Without a step (unplanned and sweep applies) nothing is cached."""
+    if step is None:
+        return build()
+    aux = step.aux
+    if aux is not None and aux[0] == key and aux[1] is kernel:
+        return aux[2]
+    value = build()
+    step.aux = (key, kernel, value)
+    return value
+
+
+def _run(states, kernel, targets, controls, control_states, diagonal,
+         nb_qubits, out, step=None):
+    """THE kernel-engine apply: ``kernel`` (``(2**k, 2**k)``, or a
+    ``(B, 2**k, 2**k)`` stack with one kernel per row) on ``states``
+    (``(B, 2**n, M)``, C-contiguous).  ``out`` is a disjoint buffer of
+    the same shape or ``None``; ``step`` is the plan step being
+    applied, if any, whose ``aux`` slot caches the kernel's derived
+    operands.  Returns ``states`` (updated in place), ``out`` or a
+    fresh array."""
+    if diagonal:
+        return _diagonal(
+            states, kernel, targets, controls, control_states, nb_qubits,
+            step,
+        )
+    if not controls and len(targets) == 1:
+        return _one_qubit(states, kernel, targets[0], out, step)
+    return _subspace(
+        states, kernel, targets, controls, control_states, nb_qubits, out,
+        step,
+    )
+
+
+def _kron_operator(kernel, right):
+    """``kron(U, I_right)^T``, one per row for a kernel stack."""
+    lead = kernel.shape[:-2]
+    op = np.zeros(lead + (2, right, 2, right), dtype=kernel.dtype)
+    # op[..., b, s, a, s] = U[..., a, b]: write the nonzeros through a
+    # diagonal view instead of multiplying by an identity
+    np.einsum("...bsas->...bas", op)[...] = np.swapaxes(
+        kernel, -1, -2
+    )[..., None]
+    return op.reshape(lead + (2 * right, 2 * right))
+
+
+def _one_qubit(states, kernel, target, out, step):
+    """Uncontrolled one-qubit kernel, written into ``out``."""
+    batch, dim, cols = states.shape
+    left = 1 << target
+    right = dim * cols >> (target + 1)
+    dest = np.empty_like(states) if out is None else out
+    stacked = kernel.ndim == 3
+    if right <= GEMM_MAX_RIGHT:
+        # each (b, l) row of the state times kron(U, I_right)^T, in
+        # GEMMs of ``rows`` contiguous rows
+        width = 2 * right
+        rows = min(left, BLAS_MAX_WORK // (width * width))
+        op = _cached(
+            step, kernel, ("kron", right),
+            lambda: _kron_operator(kernel, right),
+        )
+        shape = (batch, left // rows, rows, width)
+        np.matmul(
+            states.reshape(shape), op[:, None] if stacked else op,
+            out=dest.reshape(shape),
+        )
+        return dest
+    # U times every (2, cols) panel of the (left, 2, right) view
+    panel = min(right, BLAS_MAX_WORK // 4)
+    shape = (batch, left, 2, right // panel, panel)
+    np.matmul(
+        kernel[:, None, None] if stacked else kernel,
+        states.reshape(shape).swapaxes(2, 3),
+        out=dest.reshape(shape).swapaxes(2, 3),
+    )
+    return dest
+
+
+def _diagonal(states, kernel, targets, controls, control_states,
+              nb_qubits, step):
+    """Diagonal kernel: one in-place broadcast multiply of the
+    control-matching slice by the diagonal on the target axes."""
+    shape, index, _, diag_shape = _layout(
+        nb_qubits, states.shape[0], states.shape[2], targets, controls,
+        control_states,
+    )
+    diag = _cached(
+        step, kernel, ("diag", diag_shape),
+        lambda: kernel.diagonal(0, -2, -1).reshape(
+            kernel.shape[:-2] + diag_shape
+        ),
+    )
+    sub = states.reshape(shape)[index]
+    np.multiply(sub, diag, out=sub)
+    return states
+
+
+def _terms(kernel):
+    """Per kernel row, the ``(column, coefficient)`` pairs of its
+    nonzero entries (``None`` coefficients for a kernel stack, whose
+    entries differ per batch row)."""
+    if kernel.ndim == 3:
+        mask = (kernel != 0).any(axis=0).tolist()
+        return [
+            [(b, None) for b, nz in enumerate(row) if nz] for row in mask
+        ]
+    return [
+        [(b, c) for b, c in enumerate(row) if c != 0]
+        for row in kernel.tolist()
+    ]
+
+
+def _subspace(states, kernel, targets, controls, control_states,
+              nb_qubits, out, step):
+    """General (controlled and/or multi-target) kernel on the
+    control-matching slice: each output block is the kernel row's
+    combination of the input blocks, zero entries skipped and unit
+    entries copied.
+
+    Controlled gates update the slice in place from a copy kept in
+    ``out``; uncontrolled ones write every block into ``out``.
+    """
+    shape, index, blocks, _ = _layout(
+        nb_qubits, states.shape[0], states.shape[2], targets, controls,
+        control_states,
+    )
+    view = states.reshape(shape)
+    if controls:
+        dst = view[index]
+        flat = (
+            np.empty(dst.size, dtype=dst.dtype) if out is None
+            else out.reshape(-1)[: dst.size]
+        )
+        src = flat.reshape(dst.shape)
+        np.copyto(src, dst)
+        result = states
+    else:
+        src = view
+        result = np.empty_like(states) if out is None else out
+        dst = result.reshape(shape)
+    ins = [src[b] for b in blocks]
+    tmp = None
+    rows = _cached(step, kernel, "terms", lambda: _terms(kernel))
+    for a, (block, terms) in enumerate(zip((dst[b] for b in blocks), rows)):
+        if not terms:
+            block.fill(0)
+            continue
+        for i, (b, coef) in enumerate(terms):
+            if coef is None:  # one coefficient per batch row
+                coef = kernel[:, a, b].reshape(
+                    (-1,) + (1,) * (block.ndim - 1)
+                )
+            elif coef == 1:  # a permutation entry: copy, never multiply
+                if i == 0:
+                    np.copyto(block, ins[b])
+                else:
+                    np.add(block, ins[b], out=block)
+                continue
+            if i == 0:
+                np.multiply(ins[b], coef, out=block)
+                continue
+            if tmp is None:
+                tmp = np.empty_like(block)
+            np.multiply(ins[b], coef, out=tmp)
+            np.add(block, tmp, out=block)
+    return result
+
+
 class KernelBackend(Backend):
-    """QCLAB++-style vectorized index kernels (the optimized engine)."""
+    """QCLAB++-style table-free strided kernels (the optimized engine).
+
+    Every public hook is a thin entry point that reshapes its input to
+    ``(B, 2**n, M)`` and calls the one private routine, so single,
+    batched and sweep applies share one code path.
+    """
 
     name = "kernel"
-
-    def prepare_step(self, step, nb_qubits, tables):
-        """Attach gather-row index tables (shared via ``tables``)
-        for multi-target/controlled steps; 1q steps need none."""
-        if not step.controls:
-            if len(step.targets) == 1:
-                return  # strided-reshape fast path needs no tables
-            key = ("sub", step.targets)
-            rows = tables.get(key)
-            if rows is None:
-                rows = subindex_map(nb_qubits, list(step.targets))
-                tables[key] = rows
-        else:
-            key = (
-                "ctrl", step.targets, step.controls, step.control_states,
-            )
-            rows = tables.get(key)
-            if rows is None:
-                sub = gather_indices(
-                    nb_qubits, list(step.controls),
-                    list(step.control_states),
-                )
-                others = [
-                    q for q in range(nb_qubits)
-                    if q not in set(step.controls)
-                ]
-                local_targets = [others.index(q) for q in step.targets]
-                rows = sub[subindex_map(len(others), local_targets)]
-                tables[key] = rows
-        step.rows = rows
-        step.flat_rows = np.ascontiguousarray(rows).ravel()
-        if step.diagonal:
-            # the expanded diagonal is shared through the plan tables so
-            # signature-equal diagonal steps reuse one allocation instead
-            # of re-running np.repeat per step (or worse, per apply)
-            dkey = ("diag_rep", key, step.diag.tobytes())
-            rep = tables.get(dkey)
-            if rep is None:
-                rep = np.repeat(step.diag, rows.shape[1])[:, None]
-                tables[dkey] = rep
-            step.diag_rep = rep
-            # flat view of the same buffer, broadcast over batch rows
-            step.diag_flat = rep.ravel()
-
-    def planned_bytes(self, step, states, nb_qubits):
-        """Subspace-aware byte estimate: steps with gather-row tables
-        touch only ``rows.size`` amplitudes per state; 1q strided steps
-        stream the full state."""
-        if step.rows is None:
-            return 2 * states.nbytes
-        dim = 1 << nb_qubits
-        nb_states = states.size // dim
-        return 2 * step.rows.size * states.itemsize * nb_states
-
-    def refresh_step(self, step, nb_qubits, tables):
-        """Value-only refresh after a parametric re-bind: the gather-row
-        index tables depend only on the step's structure and are kept;
-        only the expanded diagonal views follow the new kernel."""
-        if step.diagonal and step.rows is not None:
-            rep = np.repeat(step.diag, step.rows.shape[1])[:, None]
-            step.diag_rep = rep
-            step.diag_flat = rep.ravel()
-
-    def apply_planned(self, state, step, nb_qubits, out=None):
-        """Strided-reshape fast path for 1q steps; gather/matmul/
-        scatter over the precomputed row tables otherwise."""
-        state2d, shape = self._as_2d(state)
-        rows = step.rows
-        if rows is None:
-            res = self._apply_1q(
-                state2d, step.kernel, step.targets[0], nb_qubits,
-                step.diagonal,
-            )
-            return res.reshape(shape)
-        flat = step.flat_rows
-        if step.diagonal:
-            state2d[flat] *= step.diag_rep
-            return state2d.reshape(shape)
-        m = state2d.shape[1]
-        gathered = state2d[flat].reshape(rows.shape[0], rows.shape[1] * m)
-        state2d[flat] = (step.kernel @ gathered).reshape(-1, m)
-        return state2d.reshape(shape)
-
-    def apply_planned_batched(self, states, step, nb_qubits, out=None):
-        """One vectorized kernel application across the whole
-        ``(B, 2**n)`` batch, reusing the plan's row tables."""
-        rows = step.rows
-        B = states.shape[0]
-        if rows is None:
-            return self._apply_1q_batched(
-                states, step.kernel, step.targets[0], step.diagonal
-            )
-        flat = step.flat_rows
-        if step.diagonal:
-            states[:, flat] *= step.diag_flat
-            return states
-        gathered = states[:, flat].reshape(B, rows.shape[0], rows.shape[1])
-        states[:, flat] = np.matmul(step.kernel, gathered).reshape(B, -1)
-        return states
-
-    def apply_planned_sweep(self, states, step, nb_qubits, kernels):
-        """Vectorized per-row kernels: a batched einsum on the strided
-        1q view, or gather/batched-matmul/scatter with on-the-fly row
-        tables for general targets and controls."""
-        self._validate_batch(states, nb_qubits)
-        P = states.shape[0]
-        if not step.controls and len(step.targets) == 1:
-            left = 1 << step.targets[0]
-            view = states.reshape(P, left, 2, -1)
-            if step.diagonal:
-                d = np.einsum("pii->pi", kernels)
-                view *= d[:, None, :, None]
-                return states
-            out = np.einsum("pab,plbr->plar", kernels, view)
-            return np.ascontiguousarray(out).reshape(P, -1)
-        # parametric steps are never prepare_step-ed, so build the row
-        # tables here exactly as the uncompiled batched path does
-        if not step.controls:
-            rows = subindex_map(nb_qubits, list(step.targets))
-        else:
-            sub = gather_indices(
-                nb_qubits, list(step.controls), list(step.control_states)
-            )
-            others = [
-                q for q in range(nb_qubits)
-                if q not in set(step.controls)
-            ]
-            local_targets = [others.index(q) for q in step.targets]
-            rows = sub[subindex_map(len(others), local_targets)]
-        flat = np.ascontiguousarray(rows).ravel()
-        if step.diagonal:
-            d = np.einsum("pii->pi", kernels)
-            states[:, flat] *= np.repeat(d, rows.shape[1], axis=1)
-            return states
-        gathered = states[:, flat].reshape(P, rows.shape[0], rows.shape[1])
-        states[:, flat] = np.matmul(kernels, gathered).reshape(P, -1)
-        return states
-
-    def apply_batched(
-        self,
-        states,
-        kernel,
-        targets,
-        nb_qubits,
-        controls=(),
-        control_states=(),
-        diagonal=False,
-    ):
-        """Uncompiled batched path: build the row tables on the fly
-        and apply the kernel once across the batch."""
-        self._validate_batch(states, nb_qubits)
-        self._validate(
-            np.asarray(kernel), targets, nb_qubits, controls, control_states
-        )
-        kernel = np.asarray(kernel, dtype=states.dtype)
-        if not controls and len(targets) == 1:
-            return self._apply_1q_batched(
-                states, kernel, targets[0], diagonal
-            )
-        if not controls:
-            rows = subindex_map(nb_qubits, list(targets))
-        else:
-            sub = gather_indices(
-                nb_qubits, list(controls), list(control_states)
-            )
-            others = [
-                q for q in range(nb_qubits) if q not in set(controls)
-            ]
-            local_targets = [others.index(q) for q in targets]
-            rows = sub[subindex_map(len(others), local_targets)]
-        flat = np.ascontiguousarray(rows).ravel()
-        B = states.shape[0]
-        if diagonal:
-            states[:, flat] *= np.repeat(np.diag(kernel), rows.shape[1])
-            return states
-        gathered = states[:, flat].reshape(B, rows.shape[0], rows.shape[1])
-        states[:, flat] = np.matmul(kernel, gathered).reshape(B, -1)
-        return states
-
-    @staticmethod
-    def _apply_1q_batched(states, kernel, target, diagonal):
-        """One-qubit kernel across a ``(B, dim)`` batch: the serial
-        strided reshape gains a leading batch axis and the einsum
-        contracts once for all rows."""
-        B = states.shape[0]
-        left = 1 << target
-        view = states.reshape(B, left, 2, -1)
-        if diagonal:
-            view[:, :, 0, :] *= kernel[0, 0]
-            view[:, :, 1, :] *= kernel[1, 1]
-            return states
-        out = np.einsum("ab,cdbe->cdae", kernel, view)
-        return out.reshape(B, -1)
 
     def apply(
         self,
@@ -490,73 +533,88 @@ class KernelBackend(Backend):
         control_states=(),
         diagonal=False,
     ):
-        """Vectorized index-kernel application: strided reshape for
-        one target, gather/matmul/scatter for general targets and
-        controls, diagonal-aware in-place scaling throughout."""
+        """Validated apply on a ``(dim,)`` state or ``(dim, m)``
+        matrix of columns."""
         self._validate(
             np.asarray(kernel), targets, nb_qubits, controls, control_states
         )
-        state2d, shape = self._as_2d(state)
-        kernel = np.asarray(kernel, dtype=state2d.dtype)
-
-        if not controls:
-            if len(targets) == 1:
-                out = self._apply_1q(
-                    state2d, kernel, targets[0], nb_qubits, diagonal
-                )
-            else:
-                out = self._apply_kq(
-                    state2d, kernel, targets, nb_qubits, diagonal
-                )
-            return out.reshape(shape)
-
-        # Controlled path: restrict to the control-matching subspace,
-        # then apply the kernel on the targets inside that subspace.
-        sub = gather_indices(nb_qubits, list(controls), list(control_states))
-        others = [q for q in range(nb_qubits) if q not in set(controls)]
-        local_targets = [others.index(q) for q in targets]
-        rows = sub[subindex_map(len(others), local_targets)]
-        if diagonal:
-            d = np.diag(kernel)
-            state2d[rows.ravel()] *= np.repeat(d, rows.shape[1])[:, None]
-            return state2d.reshape(shape)
-        gathered = state2d[rows.ravel()].reshape(
-            rows.shape[0], rows.shape[1] * state2d.shape[1]
+        stack = _stacked(state, batched=False)
+        res = _run(
+            stack, np.asarray(kernel, dtype=stack.dtype), tuple(targets),
+            tuple(controls), tuple(control_states), diagonal, nb_qubits,
+            None,
         )
-        state2d[rows.ravel()] = (kernel @ gathered).reshape(
-            -1, state2d.shape[1]
-        )
-        return state2d.reshape(shape)
+        return _unstacked(res, stack, state, None, None)
 
-    @staticmethod
-    def _apply_1q(state2d, kernel, target, nb_qubits, diagonal):
-        m = state2d.shape[1]
-        left = 1 << target
-        right = 1 << (nb_qubits - 1 - target)
-        view = state2d.reshape(left, 2, right * m)
-        if diagonal:
-            view[:, 0, :] *= kernel[0, 0]
-            view[:, 1, :] *= kernel[1, 1]
-            # reshape copies when state2d is non-contiguous (e.g. a
-            # transposed density matrix); returning the mutated `view`
-            # is correct in both cases, `state2d` only in the view case.
-            return view.reshape(state2d.shape)
-        out = np.einsum("ab,lbr->lar", kernel, view)
-        return out.reshape(state2d.shape)
-
-    @staticmethod
-    def _apply_kq(state2d, kernel, targets, nb_qubits, diagonal):
-        rows = subindex_map(nb_qubits, list(targets))
-        if diagonal:
-            d = np.diag(kernel)
-            state2d[rows.ravel()] *= np.repeat(d, rows.shape[1])[:, None]
-            return state2d
-        m = state2d.shape[1]
-        gathered = state2d[rows.ravel()].reshape(
-            rows.shape[0], rows.shape[1] * m
+    def apply_batched(
+        self,
+        states,
+        kernel,
+        targets,
+        nb_qubits,
+        controls=(),
+        control_states=(),
+        diagonal=False,
+    ):
+        """Validated apply of one kernel across a ``(B, 2**n)`` batch."""
+        self._validate_batch(states, nb_qubits)
+        self._validate(
+            np.asarray(kernel), targets, nb_qubits, controls, control_states
         )
-        state2d[rows.ravel()] = (kernel @ gathered).reshape(-1, m)
-        return state2d
+        stack = _stacked(states, batched=True)
+        res = _run(
+            stack, np.asarray(kernel, dtype=stack.dtype), tuple(targets),
+            tuple(controls), tuple(control_states), diagonal, nb_qubits,
+            None,
+        )
+        return _unstacked(res, stack, states, None, None)
+
+    def apply_planned(self, state, step, nb_qubits, out=None):
+        """One compiled step on a ``(dim,)`` state (or ``(dim, m)``
+        matrix), written into ``out`` where a second buffer helps."""
+        stack = _stacked(state, batched=False)
+        scratch = _scratch(out, state, stack)
+        res = _run(
+            stack, step.kernel, step.targets, step.controls,
+            step.control_states, step.diagonal, nb_qubits, scratch, step,
+        )
+        return _unstacked(res, stack, state, scratch, out)
+
+    def apply_planned_batched(self, states, step, nb_qubits, out=None):
+        """One compiled step across a ``(B, 2**n)`` batch."""
+        self._validate_batch(states, nb_qubits)
+        stack = _stacked(states, batched=True)
+        scratch = _scratch(out, states, stack)
+        res = _run(
+            stack, step.kernel, step.targets, step.controls,
+            step.control_states, step.diagonal, nb_qubits, scratch, step,
+        )
+        return _unstacked(res, stack, states, scratch, out)
+
+    def apply_planned_sweep(self, states, step, nb_qubits, kernels,
+                            out=None):
+        """One parametric step with a per-row ``(P, 2**k, 2**k)``
+        kernel stack across a ``(P, 2**n)`` parameter batch."""
+        self._validate_batch(states, nb_qubits)
+        stack = _stacked(states, batched=True)
+        scratch = _scratch(out, states, stack)
+        res = _run(
+            stack, np.asarray(kernels, dtype=stack.dtype), step.targets,
+            step.controls, step.control_states, step.diagonal, nb_qubits,
+            scratch,
+        )
+        return _unstacked(res, stack, states, scratch, out)
+
+
+def _unstacked(res, stack, arr, scratch, out):
+    """Map :func:`_run`'s result back to the caller's objects: ``out``
+    itself when the result landed there, ``arr`` itself when it was
+    updated in place, else the fresh result in ``arr``'s shape."""
+    if scratch is not None and res is scratch:
+        return out
+    if res is stack and arr.flags.c_contiguous:
+        return arr
+    return res.reshape(arr.shape)
 
 
 class SparseKronBackend(Backend):
@@ -570,27 +628,25 @@ class SparseKronBackend(Backend):
 
     name = "sparse"
 
-    def prepare_step(self, step, nb_qubits, tables):
-        """Materialize (and share via ``tables``) the sparse
-        full-register operator for this step."""
-        key = (
-            "sparse", step.targets, step.controls, step.control_states,
-            step.kernel.tobytes(),
-        )
-        op = tables.get(key)
-        if op is None:
-            op = self.extended_operator(
+    @classmethod
+    def _operator(cls, step, nb_qubits):
+        """The step's extended operator, built on its first apply and
+        cached on the step together with the kernel it was built from;
+        a re-``bind`` swaps ``step.kernel`` and so rebuilds it."""
+        return _cached(
+            step, step.kernel, "sparse",
+            lambda: cls.extended_operator(
                 step.kernel, step.targets, nb_qubits, step.controls,
                 step.control_states,
-            )
-            tables[key] = op
-        step.aux = op
+            ),
+        )
 
     def planned_bytes(self, step, states, nb_qubits):
         """Full state in and out plus one pass over the sparse
         operator's stored entries."""
         nnz_bytes = (
-            step.aux.data.nbytes if step.aux is not None else 0
+            step.aux[2].data.nbytes
+            if step.aux is not None and step.aux[0] == "sparse" else 0
         )
         return 2 * states.nbytes + nnz_bytes
 
@@ -598,14 +654,16 @@ class SparseKronBackend(Backend):
         """One sparse matrix-vector product with the prebuilt
         extended operator."""
         state2d, shape = self._as_2d(state)
-        res = np.asarray(step.aux @ state2d, dtype=state2d.dtype)
+        op = self._operator(step, nb_qubits)
+        res = np.asarray(op @ state2d, dtype=state2d.dtype)
         return res.reshape(shape)
 
     def apply_planned_batched(self, states, step, nb_qubits, out=None):
         """One sparse multiply for the whole ``(B, 2**n)`` batch."""
         # one sparse multiply for the whole batch: (dim, dim) @ (dim, B)
         self._validate_batch(states, nb_qubits)
-        res = np.asarray(step.aux @ states.T, dtype=states.dtype)
+        op = self._operator(step, nb_qubits)
+        res = np.asarray(op @ states.T, dtype=states.dtype)
         return np.ascontiguousarray(res.T)
 
     def apply_batched(
@@ -701,163 +759,6 @@ class SparseKronBackend(Backend):
         return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
-class EinsumBackend(Backend):
-    """Tensor-contraction engine (cross-validation oracle)."""
-
-    name = "einsum"
-
-    def prepare_step(self, step, nb_qubits, tables):
-        """Pre-reshape the (control-folded) kernel into the
-        ``(2,)*2k`` tensor the contraction consumes."""
-        if step.controls:
-            qubits_all = sorted(step.targets + step.controls)
-            full_kernel = controlled_matrix(
-                step.kernel, qubits_all, list(step.controls),
-                list(step.control_states), list(step.targets),
-            )
-        else:
-            qubits_all = list(step.targets)
-            full_kernel = step.kernel
-        k = len(qubits_all)
-        step.aux = (
-            full_kernel.reshape((2,) * (2 * k)), tuple(qubits_all), k,
-        )
-
-    def planned_bytes(self, step, states, nb_qubits):
-        """Full state streamed through the contraction, plus the
-        (control-folded) kernel tensor."""
-        kernel_bytes = (
-            step.aux[0].nbytes if step.aux is not None else 0
-        )
-        return 2 * states.nbytes + kernel_bytes
-
-    def apply_planned(self, state, step, nb_qubits, out=None):
-        """``tensordot`` the prepared kernel tensor over the step's
-        qubit axes, then move the result axes back in place."""
-        state2d, shape = self._as_2d(state)
-        ut, qubits_all, k = step.aux
-        m = state2d.shape[1]
-        psi = state2d.reshape((2,) * nb_qubits + (m,))
-        contracted = np.tensordot(
-            ut, psi, axes=(list(range(k, 2 * k)), list(qubits_all))
-        )
-        res = np.moveaxis(contracted, list(range(k)), list(qubits_all))
-        return np.ascontiguousarray(res).reshape(shape)
-
-    def apply_planned_batched(self, states, step, nb_qubits, out=None):
-        """Single tensor contraction across the whole batch."""
-        self._validate_batch(states, nb_qubits)
-        ut, qubits_all, k = step.aux
-        return self._contract_batched(states, ut, qubits_all, k, nb_qubits)
-
-    def apply_planned_sweep(self, states, step, nb_qubits, kernels):
-        """Per-row kernels via one batched matmul: move the target
-        axes to the front, flatten, multiply the kernel stack, restore.
-        Controlled steps fall back to the per-row loop (folding the
-        controls would build ``P`` full-register kernels)."""
-        if step.controls:
-            return super().apply_planned_sweep(
-                states, step, nb_qubits, kernels
-            )
-        self._validate_batch(states, nb_qubits)
-        targets = list(step.targets)
-        k = len(targets)
-        P = states.shape[0]
-        psi = states.reshape((P,) + (2,) * nb_qubits)
-        axes = [q + 1 for q in targets]
-        moved = np.moveaxis(psi, axes, list(range(1, k + 1)))
-        flat = np.ascontiguousarray(moved).reshape(P, 1 << k, -1)
-        out = np.matmul(kernels, flat)
-        out = out.reshape((P,) + (2,) * nb_qubits)
-        out = np.moveaxis(out, list(range(1, k + 1)), axes)
-        return np.ascontiguousarray(out).reshape(P, -1)
-
-    def apply_batched(
-        self,
-        states,
-        kernel,
-        targets,
-        nb_qubits,
-        controls=(),
-        control_states=(),
-        diagonal=False,
-    ):
-        """Fold controls into the kernel and contract once over the
-        whole batch."""
-        self._validate_batch(states, nb_qubits)
-        self._validate(
-            np.asarray(kernel), targets, nb_qubits, controls, control_states
-        )
-        kernel = np.asarray(kernel, dtype=states.dtype)
-        if controls:
-            qubits_all = sorted(list(targets) + list(controls))
-            full_kernel = controlled_matrix(
-                kernel, qubits_all, list(controls), list(control_states),
-                list(targets),
-            )
-        else:
-            qubits_all = sorted(targets)
-            full_kernel = kernel
-        k = len(qubits_all)
-        ut = full_kernel.reshape((2,) * (2 * k))
-        return self._contract_batched(
-            states, ut, tuple(qubits_all), k, nb_qubits
-        )
-
-    @staticmethod
-    def _contract_batched(states, ut, qubits_all, k, nb_qubits):
-        """Contract a full-register kernel over a batch: qubit axes sit
-        one position right of the leading batch axis."""
-        B = states.shape[0]
-        psi = states.reshape((B,) + (2,) * nb_qubits)
-        axes = [q + 1 for q in qubits_all]
-        contracted = np.tensordot(
-            ut, psi, axes=(list(range(k, 2 * k)), axes)
-        )
-        # kernel row axes land first; the batch axis follows them and
-        # slides back to the front once the rows return to their slots
-        out = np.moveaxis(contracted, list(range(k)), axes)
-        return np.ascontiguousarray(out).reshape(B, -1)
-
-    def apply(
-        self,
-        state,
-        kernel,
-        targets,
-        nb_qubits,
-        controls=(),
-        control_states=(),
-        diagonal=False,
-    ):
-        """Reshape the state into a rank-``n`` tensor and contract the
-        (control-folded) kernel over the gate's qubit axes."""
-        self._validate(
-            np.asarray(kernel), targets, nb_qubits, controls, control_states
-        )
-        state2d, shape = self._as_2d(state)
-        kernel = np.asarray(kernel, dtype=state2d.dtype)
-        if controls:
-            qubits_all = sorted(list(targets) + list(controls))
-            full_kernel = controlled_matrix(
-                kernel, qubits_all, list(controls), list(control_states),
-                list(targets),
-            )
-        else:
-            qubits_all = sorted(targets)
-            full_kernel = kernel
-        k = len(qubits_all)
-        m = state2d.shape[1]
-        psi = state2d.reshape((2,) * nb_qubits + (m,))
-        ut = full_kernel.reshape((2,) * (2 * k))
-        contracted = np.tensordot(
-            ut, psi, axes=(list(range(k, 2 * k)), list(qubits_all))
-        )
-        # tensordot puts the kernel's row axes first; move them back to
-        # their register positions.
-        out = np.moveaxis(contracted, list(range(k)), list(qubits_all))
-        return np.ascontiguousarray(out).reshape(shape)
-
-
 #: Gate-apply (statevector) backends, name -> Backend subclass.
 _REGISTRY: dict = {}
 
@@ -926,7 +827,6 @@ def get_engine(name: str):
 
 register_backend(KernelBackend)
 register_backend(SparseKronBackend)
-register_backend(EinsumBackend)
 
 _DEFAULT = KernelBackend()
 

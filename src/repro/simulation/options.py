@@ -35,9 +35,8 @@ class SimulationOptions:
     Parameters
     ----------
     backend:
-        Registry name (``'kernel'``, ``'sparse'``, ``'einsum'`` or a
-        user-registered name) or a :class:`~repro.simulation.Backend`
-        instance.
+        Registry name (``'kernel'``, ``'sparse'`` or a user-registered
+        name) or a :class:`~repro.simulation.Backend` instance.
     atol:
         Probability threshold below which measurement branches are
         pruned.

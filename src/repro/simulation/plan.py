@@ -9,8 +9,8 @@ construction and its GPU kernels:
 
 ``compile_circuit``
     Flattens the op tree once into a :class:`CompiledPlan` of
-    :class:`PlanStep` s with resolved absolute qubits, dtype-cast
-    kernels and precomputed index tables; adjacent same-qubit one-qubit
+    :class:`PlanStep` s with resolved absolute qubits and dtype-cast
+    kernels; adjacent same-qubit one-qubit
     gates are fused into single 2x2 kernels and consecutive diagonal
     gates are coalesced into one diagonal step.
 
@@ -91,10 +91,11 @@ class PlanStep:
     """One executable step of a :class:`CompiledPlan`.
 
     Gate steps carry the dtype-cast ``kernel`` on pre-resolved absolute
-    ``targets``/``controls`` plus whatever the backend attached in
-    ``prepare_step`` (``rows``/``flat_rows``/``diag_rep`` index tables
-    for the kernel engine, ``aux`` for sparse/einsum).  Measurement and
-    reset steps carry the absolute ``qubit`` and the source ``op``.
+    ``targets``/``controls``; ``aux`` is a per-step cache slot the
+    backend may fill on first apply (``sparse`` keeps its extended
+    operator there, ``kernel`` the small operands it derives from the
+    kernel).  Measurement and reset steps carry the absolute ``qubit``
+    and the source ``op``.
 
     *Parametric* gate steps — compiled from gates holding a symbolic
     :class:`~repro.parameter.Parameter` slot — carry the slot's
@@ -104,8 +105,8 @@ class PlanStep:
 
     __slots__ = (
         "kind", "kernel", "diag", "targets", "controls",
-        "control_states", "diagonal", "rows", "flat_rows", "diag_rep",
-        "diag_flat", "aux", "op", "noise_qubits", "qubit", "param",
+        "control_states", "diagonal", "aux", "op", "noise_qubits",
+        "qubit", "param",
     )
 
     def __init__(self, kind: int):
@@ -117,10 +118,6 @@ class PlanStep:
         self.controls = ()
         self.control_states = ()
         self.diagonal = False
-        self.rows = None
-        self.flat_rows = None
-        self.diag_rep = None
-        self.diag_flat = None
         self.aux = None
         self.op = None
         self.noise_qubits = None
@@ -185,7 +182,6 @@ class CompiledPlan:
         recorded: tuple,
         end_measured: dict,
         stats: PlanStats,
-        tables: dict = None,
     ):
         self.nb_qubits = nb_qubits
         self.engine = engine
@@ -196,8 +192,6 @@ class CompiledPlan:
         #: absolute qubit -> (result-string position, Measurement).
         self.end_measured = end_measured
         self.stats = stats
-        #: compile-time backend index tables, reused when binding.
-        self._tables = {} if tables is None else tables
         self._param_steps = tuple(
             s for s in steps if s.kind == GATE and s.param is not None
         )
@@ -205,9 +199,6 @@ class CompiledPlan:
         for s in self._param_steps:
             seen.setdefault(s.param.parameter, None)
         self._parameters = tuple(seen)
-        #: whether the parametric steps have been backend-prepared once
-        #: (after that, re-binding only refreshes value-dependent data).
-        self._params_prepared = False
         #: guards in-place kernel mutation (bind) against concurrent
         #: replay of the same cached plan; the
         #: :class:`~repro.execution.Executor` holds it across
@@ -247,13 +238,13 @@ class CompiledPlan:
         return normalize_values(self._parameters, values)
 
     def bind(self, values) -> "CompiledPlan":
-        """Fill the parametric kernel tables from one value set.
+        """Fill the parametric step kernels from one value set.
 
         ``values`` is a ``{Parameter-or-name: float}`` mapping or a
-        sequence in :attr:`parameters` order.  Kernels are computed,
-        cast to the plan dtype and re-prepared for the plan's backend
-        **in place** — no re-lowering or re-compilation happens, which
-        is what makes bind-per-point sweeps cheap.  Returns ``self``.
+        sequence in :attr:`parameters` order.  Kernels are computed and
+        cast to the plan dtype **in place** — no re-lowering or
+        re-compilation happens, which is what makes bind-per-point
+        sweeps cheap.  Returns ``self``.
         """
         if not self._param_steps:
             return self
@@ -265,23 +256,10 @@ class CompiledPlan:
             nb_params=len(self._parameters),
             nb_steps=len(self._param_steps),
         ):
-            # seed from the compile-time structural tables; per-binding
-            # entries (diagonal expansions, sparse operators) go into
-            # the throwaway copy so repeated binds cannot accumulate
-            tables = dict(self._tables)
             dtype = self.dtype
-            nb_qubits = self.nb_qubits
-            prepared = self._params_prepared
-            prep_hist = (
-                inst.metrics.histogram(
-                    PLAN_PREP_SECONDS,
-                    "wall seconds inside prepare_step/refresh_step hooks",
-                )
-                if inst.enabled
-                else None
-            )
-            prep_stage = "refresh" if prepared else "prepare"
+            prep_hist = _prep_histogram(inst)
             for step in self._param_steps:
+                t_prep = perf_counter()
                 theta = step.param.resolve(mapping)
                 kernel = step.op.kernel_values(
                     np.asarray([theta], dtype=float)
@@ -293,21 +271,13 @@ class CompiledPlan:
                     step.diag = np.ascontiguousarray(
                         np.diag(step.kernel)
                     )
-                t_prep = perf_counter()
-                if prepared:
-                    # index tables already exist; only the
-                    # value-dependent pieces follow the new kernel
-                    self.engine.refresh_step(step, nb_qubits, tables)
-                else:
-                    self.engine.prepare_step(step, nb_qubits, tables)
                 if prep_hist is not None:
                     prep_hist.observe(
                         perf_counter() - t_prep,
                         backend=self.engine.name,
-                        stage=prep_stage,
+                        stage="refresh",
                         kind=step_kind(step),
                     )
-            self._params_prepared = True
             if inst.enabled:
                 inst.metrics.counter(
                     PARAM_BINDS,
@@ -540,14 +510,25 @@ def _fuse_into_window(
 # -- compilation -------------------------------------------------------------
 
 
-def _table_bytes(tables: dict) -> int:
-    """Approximate bytes held by compile-time backend index tables."""
+def _prep_histogram(inst):
+    """The step-preparation histogram of an enabled instrumentation
+    bundle, else ``None``."""
+    if not inst.enabled:
+        return None
+    return inst.metrics.histogram(
+        PLAN_PREP_SECONDS,
+        "wall seconds building plan-step kernels (compile and bind)",
+    )
+
+
+def _table_bytes(steps: list) -> int:
+    """Bytes of the per-step arrays a plan holds (kernels and
+    diagonals); no backend keeps state-sized tables."""
     total = 0
-    for v in tables.values():
-        if hasattr(v, "nbytes"):
-            total += v.nbytes
-        elif isinstance(v, tuple):
-            total += sum(getattr(x, "nbytes", 0) for x in v)
+    for step in steps:
+        for arr in (step.kernel, step.diag):
+            if arr is not None:
+                total += arr.nbytes
     return int(total)
 
 
@@ -609,6 +590,7 @@ def _compile_circuit(
     recorded = []
     last_touch: dict = {}
     record_index: dict = {}
+    prep_hist = _prep_histogram(current_instrumentation())
 
     for irop in program:
         kind = irop.kind
@@ -638,6 +620,7 @@ def _compile_circuit(
                     last_touch[q] = op
                 steps.append(step)  # opaque to fusion
                 continue
+            t_prep = perf_counter()
             step.kernel = irop.kernel(dtype)
             if step.diagonal:
                 step.diag = np.ascontiguousarray(np.diag(step.kernel))
@@ -645,6 +628,13 @@ def _compile_circuit(
                 step.kernel, step.targets, nb_qubits, step.controls,
                 step.control_states,
             )
+            if prep_hist is not None:
+                prep_hist.observe(
+                    perf_counter() - t_prep,
+                    backend=engine.name,
+                    stage="prepare",
+                    kind=step_kind(step),
+                )
             for q in irop.qubits:
                 last_touch[q] = op
             if fuse and _fuse_into_window(
@@ -684,32 +674,7 @@ def _compile_circuit(
         if isinstance(op, Measurement):
             end_measured[q] = (record_index[id(op)], op)
 
-    tables: dict = {}
-    nb_gate_steps = 0
-    inst = current_instrumentation()
-    prep_hist = (
-        inst.metrics.histogram(
-            PLAN_PREP_SECONDS,
-            "wall seconds inside prepare_step/refresh_step hooks",
-        )
-        if inst.enabled
-        else None
-    )
-    for step in steps:
-        if step.kind == GATE:
-            nb_gate_steps += 1
-            if step.param is None:
-                t_prep = perf_counter()
-                engine.prepare_step(step, nb_qubits, tables)
-                if prep_hist is not None:
-                    prep_hist.observe(
-                        perf_counter() - t_prep,
-                        backend=engine.name,
-                        stage="prepare",
-                        kind=step_kind(step),
-                    )
-            # parametric steps are prepared at bind() time
-
+    nb_gate_steps = sum(step.kind == GATE for step in steps)
     stats = PlanStats(
         nb_source_ops=nb_source_ops,
         nb_steps=len(steps),
@@ -725,11 +690,11 @@ def _compile_circuit(
         steps=len(steps),
         fused=stats.nb_fused,
         ns=int(stats.compile_seconds * 1e9),
-        table_bytes=_table_bytes(tables),
+        table_bytes=_table_bytes(steps),
     )
     return CompiledPlan(
         nb_qubits, engine, np.dtype(dtype).type, steps,
-        tuple(recorded), end_measured, stats, tables,
+        tuple(recorded), end_measured, stats,
     )
 
 

@@ -126,7 +126,7 @@ class TestIterationsAndSearch:
         c = grover_circuit("11", measure=False)
         assert not c.has_measurement
 
-    @pytest.mark.parametrize("backend", ["kernel", "sparse", "einsum"])
+    @pytest.mark.parametrize("backend", ["kernel", "sparse"])
     def test_backends_agree(self, backend):
         r = grover_search("110", backend=backend)
         assert r.found == "110"

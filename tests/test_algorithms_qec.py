@@ -55,7 +55,7 @@ class TestBitFlipAllLocations:
         with pytest.raises(CircuitError):
             bit_flip_code_circuit(3)
 
-    @pytest.mark.parametrize("backend", ["kernel", "sparse", "einsum"])
+    @pytest.mark.parametrize("backend", ["kernel", "sparse"])
     def test_backends(self, backend):
         r = run_bit_flip_demo(V, error_qubit=1, backend=backend)
         assert r.corrected

@@ -1,9 +1,11 @@
-"""Cross-validation of the three simulation backends.
+"""Cross-validation of the two simulation backends.
 
-The kernel backend (QCLAB++-style), the sparse-Kronecker backend (the
-paper's reference algorithm) and the einsum backend must agree with
-each other — and with a dense brute-force operator embedding — on every
-gate class, qubit placement and control configuration.
+The kernel backend (QCLAB++-style) and the sparse-Kronecker backend
+(the paper's reference algorithm) must agree with each other — and
+with a dense brute-force operator embedding — on every gate class,
+qubit placement and control configuration.  The kernel engine's
+``out=`` buffer convention, its two one-qubit regimes and its
+serial-vs-batched bit-identity are pinned down here too.
 """
 
 import numpy as np
@@ -11,6 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.workloads import (
+    bell_circuit,
+    ghz_circuit,
+    nested_circuit,
+    random_circuit,
+)
+from repro.circuit import QCircuit
 from repro.exceptions import SimulationError
 from repro.gates import (
     CNOT,
@@ -30,18 +39,26 @@ from repro.gates import (
     iSWAP,
 )
 from repro.gates.base import controlled_matrix
+from repro.noise import (
+    Depolarizing,
+    NoiseModel,
+    run_trajectories_batched,
+    run_trajectory,
+)
 from repro.simulation.backends import (
-    EinsumBackend,
+    GEMM_MAX_RIGHT,
     KernelBackend,
     SparseKronBackend,
     available_backends,
     default_backend,
     get_backend,
 )
+from repro.simulation import SimulationOptions, compile_circuit, simulate
+from repro.simulation.plan import GATE
 from repro.simulation.simulate import apply_operation
 from repro.simulation.state import random_state
 
-BACKENDS = [KernelBackend(), SparseKronBackend(), EinsumBackend()]
+BACKENDS = [KernelBackend(), SparseKronBackend()]
 
 
 def dense_reference(state, gate, nb_qubits):
@@ -135,7 +152,6 @@ class TestBackendAgreement:
                 state = apply_operation(backend, state, g, 0, n)
             results.append(state)
         np.testing.assert_allclose(results[0], results[1], atol=1e-11)
-        np.testing.assert_allclose(results[0], results[2], atol=1e-11)
 
     @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
     def test_norm_preserved(self, backend):
@@ -230,7 +246,6 @@ class TestValidationAndRegistry:
     def test_get_backend_by_name(self):
         assert get_backend("kernel").name == "kernel"
         assert get_backend("SPARSE").name == "sparse"
-        assert get_backend("einsum").name == "einsum"
 
     def test_get_backend_passthrough(self):
         b = KernelBackend()
@@ -241,17 +256,17 @@ class TestValidationAndRegistry:
             get_backend("gpu")
 
     def test_registry_contents(self):
-        expected = {"kernel", "sparse", "einsum", "strided"}
-        from repro.simulation import HAVE_NUMBA
-
-        if HAVE_NUMBA:
-            expected.add("jit")
-        assert set(available_backends(kind="statevector")) == expected
+        assert available_backends(kind="statevector") == ("kernel", "sparse")
         # the unified namespace also lists the non-statevector engines
         assert {"density", "mps", "stabilizer"} <= set(available_backends())
 
     def test_default_backend(self):
         assert default_backend().name == "kernel"
+
+    @pytest.mark.parametrize("name", ["strided", "einsum", "jit"])
+    def test_retired_names_are_unknown(self, name):
+        with pytest.raises(SimulationError, match="unknown backend"):
+            get_backend(name)
 
     @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
     def test_rejects_bad_kernel_shape(self, backend):
@@ -314,3 +329,214 @@ class TestNonContiguousInputs:
             backend, np.ascontiguousarray(view), gate, 0, 3
         )
         np.testing.assert_allclose(got, want, atol=1e-13)
+
+
+# -- the kernel engine's out= convention, regimes and batch identity ---------
+
+TOL = 1e-10  # conformance statevector tolerance
+
+
+def _random_states(nb_qubits, seed=0, batch=None):
+    rng = np.random.default_rng(seed)
+    shape = (2**nb_qubits,) if batch is None else (batch, 2**nb_qubits)
+    s = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    s /= np.linalg.norm(s, axis=-1, keepdims=True)
+    return s.astype(np.complex128)
+
+
+def _gate_steps(circuit):
+    plan = compile_circuit(circuit)
+    return plan, [s for s in plan.steps if s.kind == GATE]
+
+
+CIRCUITS = [
+    pytest.param(ghz_circuit(5), id="ghz5"),
+    pytest.param(random_circuit(6, 40, seed=7), id="random6"),
+    pytest.param(random_circuit(3, 25, seed=3), id="random3"),
+]
+
+
+class TestOutConvention:
+    """Buffer-aliasing semantics of ``out=`` on the default engine."""
+
+    @pytest.mark.parametrize("circuit", CIRCUITS)
+    def test_out_variants_bit_identical(self, circuit):
+        nb = circuit.nbQubits
+        plan, steps = _gate_steps(circuit)
+        eng = plan.engine
+
+        def run(mode):
+            state = _random_states(nb, seed=11)
+            scratch = np.empty_like(state)
+            for step in steps:
+                if mode == "none":
+                    state = eng.apply_planned(state, step, nb)
+                elif mode == "scratch":
+                    res = eng.apply_planned(state, step, nb, out=scratch)
+                    if res is scratch:
+                        scratch = state
+                    state = res
+                elif mode == "self":
+                    state = eng.apply_planned(state, step, nb, out=state)
+            return state
+
+        ref = run("none")
+        np.testing.assert_array_equal(run("scratch"), ref)
+        np.testing.assert_array_equal(run("self"), ref)
+
+    def test_overlapping_out_is_safe(self):
+        """``out`` sharing memory with ``state`` (shifted view) must
+        not corrupt the result."""
+        nb = 4
+        circuit = random_circuit(nb, 20, seed=5)
+        plan, steps = _gate_steps(circuit)
+        eng = plan.engine
+        dim = 2**nb
+
+        ref = _random_states(nb, seed=2)
+        for step in steps:
+            ref = eng.apply_planned(ref, step, nb)
+
+        buf = np.empty(dim + 1, dtype=np.complex128)
+        state = buf[:dim]
+        state[:] = _random_states(nb, seed=2)
+        overlap = buf[1:]
+        for step in steps:
+            res = eng.apply_planned(state, step, nb, out=overlap)
+            if res is not state:
+                state[:] = res
+        np.testing.assert_array_equal(state, ref)
+
+    def test_noncontiguous_out_falls_back_safely(self):
+        nb = 3
+        circuit = ghz_circuit(nb)
+        plan, steps = _gate_steps(circuit)
+        eng = plan.engine
+        state = _random_states(nb, seed=9)
+        ref = state.copy()
+        for step in steps:
+            ref = eng.apply_planned(ref, step, nb)
+        strided_out = np.empty(2 * 2**nb, dtype=np.complex128)[::2]
+        assert not strided_out.flags.c_contiguous
+        got = state
+        for step in steps:
+            res = eng.apply_planned(got, step, nb, out=strided_out)
+            got = np.ascontiguousarray(res)
+        np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("circuit", CIRCUITS)
+    def test_batched_out_variants_bit_identical(self, circuit):
+        nb = circuit.nbQubits
+        plan, steps = _gate_steps(circuit)
+        eng = plan.engine
+        batch = 7
+
+        def run(use_out):
+            states = _random_states(nb, seed=4, batch=batch).copy()
+            spare = np.empty_like(states) if use_out else None
+            for step in steps:
+                if use_out:
+                    res = eng.apply_planned_batched(
+                        states, step, nb, out=spare
+                    )
+                    if res is spare:
+                        spare = states
+                    states = res
+                else:
+                    states = eng.apply_planned_batched(states, step, nb)
+            return states
+
+        np.testing.assert_array_equal(run(True), run(False))
+
+    @pytest.mark.parametrize("circuit", CIRCUITS)
+    def test_batched_rows_match_serial_bitwise(self, circuit):
+        """A batch row's arithmetic does not depend on the batch
+        width: every row equals the same state run alone."""
+        nb = circuit.nbQubits
+        plan, steps = _gate_steps(circuit)
+        eng = plan.engine
+        states = _random_states(nb, seed=6, batch=5)
+        rows = [row.copy() for row in states]
+        for step in steps:
+            states = eng.apply_planned_batched(states, step, nb)
+            rows = [eng.apply_planned(r, step, nb) for r in rows]
+        for row, batched in zip(rows, states):
+            np.testing.assert_array_equal(batched, row)
+
+
+class TestKernelConformance:
+    """The default engine against the sparse reference across the
+    {fused, unfused} grid and both one-qubit regimes."""
+
+    @pytest.mark.parametrize("circuit", CIRCUITS)
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_statevector_matches_sparse(self, circuit, fuse):
+        ref = simulate(
+            circuit, "0" * circuit.nbQubits,
+            options=SimulationOptions(backend="sparse", fuse=fuse),
+        )
+        got = simulate(
+            circuit, "0" * circuit.nbQubits,
+            options=SimulationOptions(backend="kernel", fuse=fuse),
+        )
+        assert np.abs(got.states[0] - ref.states[0]).max() <= TOL
+
+    def test_nested_circuit_measurements(self):
+        c = nested_circuit()
+        ref = simulate(
+            c, "0" * 5, options=SimulationOptions(backend="sparse", seed=3)
+        )
+        got = simulate(
+            c, "0" * 5, options=SimulationOptions(backend="kernel", seed=3)
+        )
+        for rb, gb in zip(ref.branches, got.branches):
+            assert abs(rb.probability - gb.probability) <= 1e-9
+
+    def test_both_gemm_and_broadcast_regimes(self):
+        """The 1q kernel switches strategy on the ``right`` stride;
+        cover qubit positions on both sides of the cut."""
+        nb = 7  # right spans 1..64 => both <= 16 and > 16
+        assert 2 ** (nb - 1) > GEMM_MAX_RIGHT
+        c = QCircuit(nb)
+        for q in range(nb):
+            c.push_back(Hadamard(q))
+            c.push_back(RotationX(q, 0.1 * (q + 1)))
+        ref = simulate(
+            c, "0" * nb, options=SimulationOptions(backend="sparse")
+        )
+        got = simulate(
+            c, "0" * nb, options=SimulationOptions(backend="kernel")
+        )
+        assert np.abs(got.states[0] - ref.states[0]).max() <= TOL
+
+
+class TestKernelTrajectories:
+    """Serial-vs-batched bit-exactness holds for the default engine."""
+
+    def test_batched_matches_serial_bitwise(self):
+        c = ghz_circuit(4, measure=True)
+        noise = NoiseModel(
+            gate_noise=Depolarizing(0.05), readout_error=0.02
+        )
+        opts = SimulationOptions(backend="kernel", batch_size=16)
+        batched = run_trajectories_batched(
+            c, noise, shots=48, seed=13, options=opts, return_states=True
+        )
+        rng = np.random.default_rng(13)
+        serial = [
+            run_trajectory(c, noise, rng=rng, backend="kernel")
+            for _ in range(48)
+        ]
+        assert batched.results == [t.result for t in serial]
+
+    def test_kernel_vs_sparse_distribution(self):
+        c = bell_circuit()
+        a = run_trajectories_batched(
+            c, None, shots=200, seed=7,
+            options=SimulationOptions(backend="kernel"),
+        )
+        b = run_trajectories_batched(
+            c, None, shots=200, seed=7,
+            options=SimulationOptions(backend="sparse"),
+        )
+        assert a.counts == b.counts

@@ -100,7 +100,7 @@ class TestDifferential:
         assert got.results == expected
         assert got.batch_size == 7
 
-    @pytest.mark.parametrize("name", ["kernel", "sparse", "einsum"])
+    @pytest.mark.parametrize("name", ["kernel", "sparse"])
     def test_all_backends(self, name):
         c = nested_circuit()
         noise = NoiseModel(gate_noise=Depolarizing(0.08))
@@ -189,7 +189,7 @@ class TestWorkerInvariance:
 class TestBatchedBackends:
     """apply_batched / apply_planned_batched == per-row apply."""
 
-    @pytest.mark.parametrize("name", ["kernel", "sparse", "einsum"])
+    @pytest.mark.parametrize("name", ["kernel", "sparse"])
     def test_apply_batched_equals_rows(self, name):
         be = get_backend(name)
         rng = np.random.default_rng(0)
@@ -204,7 +204,7 @@ class TestBatchedBackends:
         got = be.apply_batched(states.copy(), h, [1], nb)
         np.testing.assert_allclose(got, expected)
 
-    @pytest.mark.parametrize("name", ["kernel", "sparse", "einsum"])
+    @pytest.mark.parametrize("name", ["kernel", "sparse"])
     def test_apply_batched_controlled(self, name):
         be = get_backend(name)
         rng = np.random.default_rng(1)

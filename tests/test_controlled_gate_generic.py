@@ -151,7 +151,7 @@ class TestComplex64Support:
         for state in sim.states:
             assert state.dtype == np.complex64
 
-    @pytest.mark.parametrize("backend", ["kernel", "sparse", "einsum"])
+    @pytest.mark.parametrize("backend", ["kernel", "sparse"])
     def test_single_precision_agrees(self, backend):
         from repro.algorithms import teleportation_circuit
 

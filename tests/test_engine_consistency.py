@@ -2,7 +2,7 @@
 simulation engine the package ships.
 
 For a given circuit the five engines — the three state-vector backends
-(kernel / sparse / einsum), the exact density-matrix simulator, the
+(kernel / sparse), the exact density-matrix simulator, the
 Monte-Carlo trajectory sampler, the MPS engine and (for Clifford
 circuits) the stabilizer tableau — must tell the same physical story.
 This is the strongest end-to-end invariant in the test suite.
@@ -129,7 +129,7 @@ def test_backend_trio_identical_branches():
     reference = circuit.simulate(
         "000", options=SimulationOptions(backend="kernel")
     )
-    for backend in ("sparse", "einsum"):
+    for backend in ("sparse",):
         other = circuit.simulate(
             "000", options=SimulationOptions(backend=backend)
         )

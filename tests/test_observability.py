@@ -461,7 +461,7 @@ class TestSimulationHooks:
 
     def test_results_unchanged_across_backends_instrumented(self):
         c = bell()
-        for backend in ("kernel", "sparse", "einsum"):
+        for backend in ("kernel", "sparse"):
             sim = simulate(
                 c,
                 "00",

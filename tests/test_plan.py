@@ -28,7 +28,6 @@ from repro.gates import (
 from repro.noise import Depolarizing, NoiseModel
 from repro.simulation import (
     Backend,
-    EinsumBackend,
     KernelBackend,
     SimulationOptions,
     available_backends,
@@ -216,7 +215,7 @@ class TestFusion:
         assert plan.stats.nb_fused == 0
         assert plan.stats.nb_gate_steps == 4
 
-    @pytest.mark.parametrize("backend", ["kernel", "sparse", "einsum"])
+    @pytest.mark.parametrize("backend", ["kernel", "sparse"])
     def test_randomized_cross_validation(self, backend):
         rng = np.random.default_rng(42)
         for trial in range(5):
@@ -358,9 +357,9 @@ class TestSimulationOptions:
                 bell(),
                 "00",
                 options=SimulationOptions(),
-                backend="einsum",
+                backend="sparse",
             )
-        assert s.backend == "einsum"
+        assert s.backend == "sparse"
 
     def test_density_legacy_keyword_warns(self):
         with pytest.warns(DeprecationWarning):
@@ -406,12 +405,12 @@ class TestRegistry:
             _ENGINES.pop("doubly", None)
 
     def test_get_backend_instance_passthrough(self):
-        b = EinsumBackend()
+        b = KernelBackend()
         assert get_backend(b) is b
 
     def test_unified_namespace(self):
         names = set(available_backends())
-        assert {"kernel", "sparse", "einsum", "density", "mps",
+        assert {"kernel", "sparse", "density", "mps",
                 "stabilizer"} <= names
         assert callable(get_engine("mps"))
 
@@ -434,3 +433,52 @@ class TestRegistry:
         s = simulate(bell(), "00", options=SimulationOptions(backend=eng))
         assert Counting.planned > 0
         assert s.backend == "counting"
+
+
+class TestTableFreePlans:
+    """Plans hold their step kernels and nothing state-sized."""
+
+    def test_qft18_plan_holds_no_tables(self):
+        from repro.algorithms.qft import qft_circuit
+        from repro.observability import EV_PLAN_COMPILE, flight_recorder
+
+        rec = flight_recorder()
+        rec.clear()
+        plan = compile_circuit(qft_circuit(18))
+        events = rec.events(EV_PLAN_COMPILE)
+        assert len(events) == 1
+        state_bytes = (1 << plan.nb_qubits) * 16
+        # the compile event keeps its table_bytes key, far below one
+        # 4 MB statevector
+        assert 0 < events[0].data["table_bytes"] < state_bytes
+        for step in plan.steps:
+            assert step.aux is None  # nothing attached at compile time
+
+    def test_sparse_rebind_rebuilds_cached_operator(self):
+        from repro.parameter import Parameter
+
+        theta = Parameter("theta")
+        c = QCircuit(2)
+        c.push_back(Hadamard(0))
+        c.push_back(RotationX(1, theta))
+        plan, _ = get_plan(c, "sparse")
+        step = next(s for s in plan.steps if s.param is not None)
+        start = initial_state("00", 2)
+
+        def final(value):
+            plan.bind({theta: value})
+            state = start.copy()
+            for s in plan.steps:
+                state = plan.engine.apply_planned(state, s, 2)
+            return state
+
+        first = final(0.3)
+        op_first = step.aux[2]
+        second = final(1.1)
+        assert step.aux[2] is not op_first
+        ref = simulate(
+            c.bind({theta: 1.1}), "00",
+            options=SimulationOptions(backend="kernel"),
+        )
+        np.testing.assert_allclose(second, ref.states[0], atol=1e-12)
+        assert not np.allclose(first, second)

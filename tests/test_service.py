@@ -125,6 +125,15 @@ class TestProtocolErrors:
             "backend", "atol", "dtype", "fuse",
         ]
 
+    @pytest.mark.parametrize("name", ["nosuch", "density", "einsum"])
+    def test_unknown_backend_is_400(self, gateway, name):
+        status, _, body = post(
+            gateway, simulate_body(options={"backend": name})
+        )
+        assert status == 400
+        assert body["error"]["code"] == "bad-options"
+        assert body["error"]["detail"]["allowed"] == ["kernel", "sparse"]
+
     def test_bad_dtype_is_400(self, gateway):
         status, _, body = post(
             gateway, simulate_body(options={"dtype": "float64"})

@@ -353,7 +353,7 @@ class TestReset:
 
 
 class TestBackendParity:
-    @pytest.mark.parametrize("backend", ["kernel", "sparse", "einsum"])
+    @pytest.mark.parametrize("backend", ["kernel", "sparse"])
     def test_full_simulation_matches(self, backend):
         c = QCircuit(3)
         c.push_back(Hadamard(0))

@@ -106,11 +106,11 @@ SPECS = {
     ],
     "kernel": [
         MetricSpec(
-            "speedup_strided_vs_kernel", higher_is_better=True,
+            "speedup_kernel_vs_sparse", higher_is_better=True,
             kind="ratio",
         ),
         MetricSpec(
-            "strided_planned_seconds", higher_is_better=False,
+            "kernel_planned_seconds", higher_is_better=False,
             kind="absolute",
         ),
     ],
