@@ -31,6 +31,7 @@ when it needs a second buffer at all; ``sparse`` ignores it.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from functools import lru_cache
 from typing import Sequence
@@ -272,6 +273,17 @@ GEMM_MAX_RIGHT = 16
 BLAS_MAX_WORK = 1 << 15
 
 
+def _chunk(size, cap):
+    """Length of the stacks that split ``size`` GEMM rows or panel
+    columns into BLAS calls of at most ``cap``: ``size`` itself when it
+    fits, else the largest power of two that divides ``size`` and does
+    not exceed ``cap`` (at least 1).  ``size`` is a power of two times
+    the column count, which need not be a power of two."""
+    if size <= cap:
+        return size
+    return math.gcd(size, 1 << (max(cap, 1).bit_length() - 1))
+
+
 def _stacked(arr, batched: bool):
     """``(B, 2**n, M)`` C-contiguous view of a state, matrix or batch
     (a copy when ``arr`` is not C-contiguous)."""
@@ -401,7 +413,7 @@ def _one_qubit(states, kernel, target, out, step):
         # each (b, l) row of the state times kron(U, I_right)^T, in
         # GEMMs of ``rows`` contiguous rows
         width = 2 * right
-        rows = min(left, BLAS_MAX_WORK // (width * width))
+        rows = _chunk(left, BLAS_MAX_WORK // (width * width))
         op = _cached(
             step, kernel, ("kron", right),
             lambda: _kron_operator(kernel, right),
@@ -413,7 +425,7 @@ def _one_qubit(states, kernel, target, out, step):
         )
         return dest
     # U times every (2, cols) panel of the (left, 2, right) view
-    panel = min(right, BLAS_MAX_WORK // 4)
+    panel = _chunk(right, BLAS_MAX_WORK // 4)
     shape = (batch, left, 2, right // panel, panel)
     np.matmul(
         kernel[:, None, None] if stacked else kernel,

@@ -126,7 +126,9 @@ class TestIterationsAndSearch:
         c = grover_circuit("11", measure=False)
         assert not c.has_measurement
 
-    @pytest.mark.parametrize("backend", ["kernel", "sparse"])
+    @pytest.mark.parametrize(
+        "backend", ["kernel", "sparse", "einsum"], indirect=True
+    )
     def test_backends_agree(self, backend):
         r = grover_search("110", backend=backend)
         assert r.found == "110"

@@ -55,7 +55,9 @@ class TestBitFlipAllLocations:
         with pytest.raises(CircuitError):
             bit_flip_code_circuit(3)
 
-    @pytest.mark.parametrize("backend", ["kernel", "sparse"])
+    @pytest.mark.parametrize(
+        "backend", ["kernel", "sparse", "einsum"], indirect=True
+    )
     def test_backends(self, backend):
         r = run_bit_flip_demo(V, error_qubit=1, backend=backend)
         assert r.corrected

@@ -65,7 +65,9 @@ class TestGeneralStates:
             r = teleport(np.array(v, dtype=complex))
             assert r.worst_error < 1e-12
 
-    @pytest.mark.parametrize("backend", ["kernel", "sparse"])
+    @pytest.mark.parametrize(
+        "backend", ["kernel", "sparse", "einsum"], indirect=True
+    )
     def test_every_backend(self, backend):
         v = np.array([0.6, 0.8j])
         r = teleport(v, backend=backend)

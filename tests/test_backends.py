@@ -58,7 +58,20 @@ from repro.simulation.plan import GATE
 from repro.simulation.simulate import apply_operation
 from repro.simulation.state import random_state
 
+from tests.conftest import statevector_variant
+
 BACKENDS = [KernelBackend(), SparseKronBackend()]
+
+#: Per-backend test variants: the registered statevector backends plus
+#: the kernel engine pinned to its contraction formulation
+#: (``conftest.KERNEL_REGIMES``).
+VARIANTS = ["kernel", "sparse", "einsum"]
+
+
+@pytest.fixture
+def backend(request, monkeypatch):
+    """Backend object of the variant given by indirect parametrization."""
+    return get_backend(statevector_variant(request.param, monkeypatch))
 
 
 def dense_reference(state, gate, nb_qubits):
@@ -104,7 +117,7 @@ GATES_3Q = [
 
 class TestBackendAgreement:
     @pytest.mark.parametrize("gate", GATES_3Q, ids=repr)
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("backend", VARIANTS, indirect=True)
     def test_gate_vs_dense_reference(self, gate, backend):
         n = 3
         state = random_state(n, rng=42)
@@ -112,7 +125,7 @@ class TestBackendAgreement:
         got = apply_operation(backend, state.copy(), gate, 0, n)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("backend", VARIANTS, indirect=True)
     def test_offset_shifts_qubits(self, backend):
         n = 4
         state = random_state(n, rng=1)
@@ -153,7 +166,7 @@ class TestBackendAgreement:
             results.append(state)
         np.testing.assert_allclose(results[0], results[1], atol=1e-11)
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("backend", VARIANTS, indirect=True)
     def test_norm_preserved(self, backend):
         n = 5
         state = random_state(n, rng=3)
@@ -163,7 +176,7 @@ class TestBackendAgreement:
 
 
 class TestBatchStates:
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("backend", VARIANTS, indirect=True)
     def test_batch_matches_column_by_column(self, backend):
         n = 3
         rng = np.random.default_rng(9)
@@ -178,7 +191,7 @@ class TestBatchStates:
 
 
 class TestDiagonalFastPath:
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("backend", VARIANTS, indirect=True)
     @pytest.mark.parametrize(
         "gate",
         [PauliZ(1), T(2), RotationZ(0, 0.4), CZ(0, 2),
@@ -260,6 +273,14 @@ class TestValidationAndRegistry:
         # the unified namespace also lists the non-statevector engines
         assert {"density", "mps", "stabilizer"} <= set(available_backends())
 
+    def test_registry_matches_availability(self):
+        """Every listed statevector name resolves to a backend of that
+        name, and the unified namespace lists it too."""
+        names = available_backends("statevector")
+        for name in names:
+            assert get_backend(name).name == name
+        assert set(names) <= set(available_backends())
+
     def test_default_backend(self):
         assert default_backend().name == "kernel"
 
@@ -268,14 +289,14 @@ class TestValidationAndRegistry:
         with pytest.raises(SimulationError, match="unknown backend"):
             get_backend(name)
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("backend", VARIANTS, indirect=True)
     def test_rejects_bad_kernel_shape(self, backend):
         state = np.zeros(4, dtype=complex)
         state[0] = 1
         with pytest.raises(SimulationError):
             backend.apply(state, np.eye(4), [0], 2)
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("backend", VARIANTS, indirect=True)
     def test_rejects_duplicate_qubits(self, backend):
         state = np.zeros(4, dtype=complex)
         state[0] = 1
@@ -283,14 +304,14 @@ class TestValidationAndRegistry:
             backend.apply(state, np.eye(2), [0], 2, controls=[0],
                           control_states=[1])
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("backend", VARIANTS, indirect=True)
     def test_rejects_unsorted_targets(self, backend):
         state = np.zeros(4, dtype=complex)
         state[0] = 1
         with pytest.raises(SimulationError):
             backend.apply(state, np.eye(4), [1, 0], 2)
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("backend", VARIANTS, indirect=True)
     def test_rejects_out_of_range(self, backend):
         state = np.zeros(4, dtype=complex)
         state[0] = 1
@@ -302,7 +323,7 @@ class TestNonContiguousInputs:
     """Regression: the 1q diagonal fast path must not silently no-op on
     non-contiguous arrays (e.g. transposed density matrices)."""
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("backend", VARIANTS, indirect=True)
     def test_diagonal_gate_on_transposed_batch(self, backend):
         rng = np.random.default_rng(0)
         batch = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -315,7 +336,7 @@ class TestNonContiguousInputs:
         )
         np.testing.assert_allclose(got, want, atol=1e-14)
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("backend", VARIANTS, indirect=True)
     @pytest.mark.parametrize(
         "gate", [PauliZ(0), CZ(0, 2), MCZ([0, 1], 2), Hadamard(1)],
         ids=repr,
@@ -508,6 +529,19 @@ class TestKernelConformance:
             c, "0" * nb, options=SimulationOptions(backend="kernel")
         )
         assert np.abs(got.states[0] - ref.states[0]).max() <= TOL
+
+    @pytest.mark.parametrize("nb, target", [(9, 6), (13, 0)])
+    def test_split_blas_calls_with_odd_column_count(self, nb, target):
+        """A ``(dim, 3)`` matrix makes the GEMM rows (9 qubits, target
+        6) and the contraction panels (13 qubits, target 0) exceed one
+        BLAS call by a non-power-of-two factor; the split must still
+        tile them exactly."""
+        rng = np.random.default_rng(4)
+        cols = rng.normal(size=(2**nb, 3)) + 1j * rng.normal(size=(2**nb, 3))
+        h = Hadamard(0).matrix
+        ref = SparseKronBackend().apply(cols.copy(), h, [target], nb)
+        got = KernelBackend().apply(cols.copy(), h, [target], nb)
+        np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
 class TestKernelTrajectories:

@@ -100,13 +100,15 @@ class TestDifferential:
         assert got.results == expected
         assert got.batch_size == 7
 
-    @pytest.mark.parametrize("name", ["kernel", "sparse"])
-    def test_all_backends(self, name):
+    @pytest.mark.parametrize(
+        "backend", ["kernel", "sparse", "einsum"], indirect=True
+    )
+    def test_all_backends(self, backend):
         c = nested_circuit()
         noise = NoiseModel(gate_noise=Depolarizing(0.08))
-        expected = serial_results(c, noise, 60, seed=3, backend=name)
+        expected = serial_results(c, noise, 60, seed=3, backend=backend)
         got = run_trajectories_batched(
-            c, noise, shots=60, seed=3, backend=name
+            c, noise, shots=60, seed=3, backend=backend
         )
         assert got.results == expected
 
@@ -189,9 +191,11 @@ class TestWorkerInvariance:
 class TestBatchedBackends:
     """apply_batched / apply_planned_batched == per-row apply."""
 
-    @pytest.mark.parametrize("name", ["kernel", "sparse"])
-    def test_apply_batched_equals_rows(self, name):
-        be = get_backend(name)
+    @pytest.mark.parametrize(
+        "backend", ["kernel", "sparse", "einsum"], indirect=True
+    )
+    def test_apply_batched_equals_rows(self, backend):
+        be = get_backend(backend)
         rng = np.random.default_rng(0)
         nb = 3
         states = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
@@ -204,9 +208,11 @@ class TestBatchedBackends:
         got = be.apply_batched(states.copy(), h, [1], nb)
         np.testing.assert_allclose(got, expected)
 
-    @pytest.mark.parametrize("name", ["kernel", "sparse"])
-    def test_apply_batched_controlled(self, name):
-        be = get_backend(name)
+    @pytest.mark.parametrize(
+        "backend", ["kernel", "sparse", "einsum"], indirect=True
+    )
+    def test_apply_batched_controlled(self, backend):
+        be = get_backend(backend)
         rng = np.random.default_rng(1)
         nb = 3
         states = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))

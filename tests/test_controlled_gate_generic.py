@@ -151,7 +151,9 @@ class TestComplex64Support:
         for state in sim.states:
             assert state.dtype == np.complex64
 
-    @pytest.mark.parametrize("backend", ["kernel", "sparse"])
+    @pytest.mark.parametrize(
+        "backend", ["kernel", "sparse", "einsum"], indirect=True
+    )
     def test_single_precision_agrees(self, backend):
         from repro.algorithms import teleportation_circuit
 

@@ -51,7 +51,9 @@ from repro.simulation import (
     plan_cache_info,
 )
 
-BACKENDS = sorted(available_backends("statevector"))
+# every registered statevector backend plus the kernel engine pinned to
+# each regime of conftest.KERNEL_REGIMES
+BACKENDS = sorted(available_backends("statevector")) + ["einsum", "strided"]
 
 
 def _ansatz(p1, p2, p3):
@@ -178,7 +180,7 @@ class TestBind:
         assert bound.base is c
         assert bound.parameters == (p,)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
     def test_bind_matches_recompile(self, backend):
         p1, p2, p3 = (Parameter(n) for n in "abc")
         sym = _ansatz(p1, p2, p3)
@@ -270,7 +272,7 @@ class TestPlanCache:
 
 
 class TestSweep:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
     def test_sweep_matches_per_point_bind(self, backend):
         p1, p2, p3 = (Parameter(n) for n in "abc")
         sym = _ansatz(p1, p2, p3)

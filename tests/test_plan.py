@@ -215,7 +215,9 @@ class TestFusion:
         assert plan.stats.nb_fused == 0
         assert plan.stats.nb_gate_steps == 4
 
-    @pytest.mark.parametrize("backend", ["kernel", "sparse"])
+    @pytest.mark.parametrize(
+        "backend", ["kernel", "sparse", "einsum"], indirect=True
+    )
     def test_randomized_cross_validation(self, backend):
         rng = np.random.default_rng(42)
         for trial in range(5):

@@ -353,7 +353,9 @@ class TestReset:
 
 
 class TestBackendParity:
-    @pytest.mark.parametrize("backend", ["kernel", "sparse"])
+    @pytest.mark.parametrize(
+        "backend", ["kernel", "sparse", "einsum"], indirect=True
+    )
     def test_full_simulation_matches(self, backend):
         c = QCircuit(3)
         c.push_back(Hadamard(0))
