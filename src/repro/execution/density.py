@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.circuit.measurement import Measurement
 from repro.exceptions import StateError
+from repro.execution.dispatch import KRAUS, step_kind, step_meter
 from repro.simulation.plan import GATE, MEASURE
 from repro.simulation.state import initial_state
 from repro.utils.bits import gather_indices
@@ -143,19 +144,21 @@ def initial_density(start, nb_qubits, dtype) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def run_density_plan(plan, engine, rho0, noise, atol):
+def run_density_plan(plan, rho0, noise, atol, inst=None):
     """Replay a compiled plan on a density matrix, branch-wise.
 
-    ``engine`` is passed separately from ``plan.engine`` so
-    instrumented runs can route every ``K rho K^dagger`` conjugation
-    through an
-    :class:`~repro.observability.InstrumentedBackend` wrapper.
     Channels resolve per source gate via ``noise.channel_for``; readout
     errors mix branch probabilities classically after each measurement.
-    Returns the final :class:`DensityBranch` list.
+    With an enabled ``inst`` each step is timed once and recorded
+    through a :class:`~repro.execution.dispatch.StepMeter`: one apply
+    per branch for a gate step's ``U rho U^dagger``, one ``kraus``
+    observation per noisy qubit, collapses in the measurement
+    histogram.  Returns the final :class:`DensityBranch` list.
     """
+    engine = plan.engine
     nb_qubits = plan.nb_qubits
     branches = [DensityBranch(1.0, rho0, "")]
+    meter = step_meter(inst, engine)
 
     for step in plan.steps:
         if step.kind == GATE:
@@ -168,6 +171,12 @@ def run_density_plan(plan, engine, rho0, noise, atol):
                     nb_qubits,
                 )
                 branch.rho = right.conj().T
+            if meter is not None:
+                meter.kernel(
+                    step_kind(step), len(branches),
+                    2 * len(branches)
+                    * engine.planned_bytes(step, rho0, nb_qubits),
+                )
             channel = (
                 noise.channel_for(step.op)
                 if step.op is not None
@@ -180,6 +189,12 @@ def run_density_plan(plan, engine, rho0, noise, atol):
                             engine, branch.rho, channel.kraus, q,
                             nb_qubits,
                         )
+                    if meter is not None:
+                        meter.kernel(
+                            KRAUS, len(branches),
+                            4 * len(channel.kraus) * len(branches)
+                            * rho0.nbytes,
+                        )
             continue
         if step.kind == MEASURE:
             branches = _measure_density(
@@ -187,9 +202,13 @@ def run_density_plan(plan, engine, rho0, noise, atol):
             )
             if noise.readout_error > 0.0:
                 branches = _flip_readouts(branches, noise.readout_error)
+            if meter is not None:
+                meter.collapse("measure")
             continue
         # RESET
         branches = _reset_density(
             engine, branches, step.op, step.qubit, nb_qubits, atol
         )
+        if meter is not None:
+            meter.collapse("reset")
     return branches

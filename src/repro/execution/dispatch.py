@@ -5,7 +5,8 @@ run goes through — parameterized by instrumentation instead of
 duplicated for it; unfused execution is a plan compiled with
 ``fuse=False``.  Every ``step.dispatch`` flight-recorder event, kernel
 metric and state high-water mark the statevector engines emit comes
-from here.
+from here; the density and trajectory loops record their per-step
+kernel metrics through the same :class:`StepMeter`.
 
 The loops return raw data (branches, recorded measurements, stats);
 materializing user-facing result objects is the caller's job — see
@@ -21,10 +22,12 @@ from typing import Mapping
 import numpy as np
 
 from repro.gates.base import QGate
-from repro.observability.backend import InstrumentedBackend, step_kind
 from repro.observability.instrument import current_instrumentation
 from repro.observability.metrics import (
     BRANCHES_MAX,
+    GATE_APPLIES,
+    KERNEL_BYTES,
+    KERNEL_SECONDS,
     MEASUREMENTS,
     RNG_DRAWS,
     SHOTS_SAMPLED,
@@ -42,12 +45,19 @@ from repro.simulation.plan import GATE, MEASURE
 
 __all__ = [
     "Branch",
+    "KRAUS",
+    "StepMeter",
     "apply_operation",
     "run_plan",
     "run_sweep",
     "run_unitary",
     "record_shots",
+    "step_kind",
+    "step_meter",
 ]
+
+#: Kernel-series ``kind`` of the noise channels attached to gate steps.
+KRAUS = "kraus"
 
 
 @dataclass
@@ -58,6 +68,99 @@ class Branch:
     probability: float
     state: np.ndarray
     result: str
+
+
+def step_kind(step) -> str:
+    """Structural class of a compiled gate step: ``diag``,
+    ``controlled``, ``1q`` or ``kq``."""
+    if step.diagonal:
+        return "diag"
+    if step.controls:
+        return "controlled"
+    if len(step.targets) == 1:
+        return "1q"
+    return "kq"
+
+
+class StepMeter:
+    """Per-step cost accounting for one instrumented plan replay.
+
+    Every plan-replay loop (:func:`run_plan`, and the density and
+    trajectory loops) closes one reading per plan step here:
+
+    * gate steps -> ``repro_gate_applies_total`` /
+      ``repro_kernel_seconds`` / ``repro_kernel_bytes_total`` under
+      ``kind=step_kind(step)``, one apply per state row per branch;
+    * noise channels attached to a gate step -> the same series under
+      ``kind="kraus"``, one reading per noisy qubit;
+    * measure/reset steps (basis changes and reset flips included) ->
+      ``repro_measurements_total`` under ``kind="measure"``/``"reset"``.
+
+    The readings are laps of one clock started when the meter is made
+    (just before the loop): each runs from the previous reading to
+    this one.  They tile the replay, so their sum is its wall time and
+    the meter's own recording lands in the next lap instead of going
+    unaccounted.
+    """
+
+    def __init__(self, metrics, backend: str):
+        self._applies = metrics.counter(
+            GATE_APPLIES, "gate-kernel applications by backend and kind"
+        )
+        self._seconds = metrics.histogram(
+            KERNEL_SECONDS, "wall seconds inside backend kernels"
+        )
+        self._bytes = metrics.counter(
+            KERNEL_BYTES, "approximate bytes touched by backend kernels"
+        )
+        self._collapses = metrics.histogram(
+            MEASUREMENTS, "wall seconds collapsing measurements/resets"
+        )
+        self._backend = backend
+        # kind -> bound (applies, seconds, bytes) children, bound on a
+        # kind's first step so recording skips the label plumbing
+        self._handles: dict = {}
+        self._last = perf_counter()
+
+    def _lap(self) -> float:
+        now = perf_counter()
+        dt = now - self._last
+        self._last = now
+        return dt
+
+    def kernel(self, kind: str, applies: int, nbytes) -> float:
+        """Close the reading of one gate step (or attached channel) of
+        ``kind``; returns its seconds."""
+        dt = self._lap()
+        handles = self._handles.get(kind)
+        if handles is None:
+            labels = {"backend": self._backend, "kind": kind}
+            handles = self._handles[kind] = (
+                self._applies.labels(**labels),
+                self._seconds.labels(**labels),
+                self._bytes.labels(**labels),
+            )
+        applies_h, seconds_h, bytes_h = handles
+        applies_h.inc(applies)
+        seconds_h.observe(dt)
+        bytes_h.inc(nbytes)
+        return dt
+
+    def collapse(self, kind: str) -> float:
+        """Close the reading of one measure/reset step; returns its
+        seconds."""
+        dt = self._lap()
+        self._collapses.observe(dt, kind=kind)
+        return dt
+
+
+def step_meter(inst, engine):
+    """A started :class:`StepMeter` for an enabled instrumentation
+    bundle, else ``None`` — the loops test for ``None`` and read no
+    clock."""
+    if inst is None or not inst.enabled:
+        return None
+    return StepMeter(inst.metrics, engine.name)
 
 
 def apply_operation(
@@ -165,12 +268,12 @@ def run_plan(plan, state, atol, inst=None, check=None):
 
     THE dispatch loop — the only place planned statevector steps
     execute.  ``inst`` parameterizes instrumentation: with an enabled
-    :class:`~repro.observability.instrument.Instrumentation`, gate
-    applies route through an
-    :class:`~repro.observability.InstrumentedBackend` (per-kernel
-    counts/seconds/bytes), collapses land in the measurement
-    histogram, and state/branch high-water gauges update; with
-    ``None`` (or a disabled bundle) the loop pays none of that.
+    :class:`~repro.observability.instrument.Instrumentation`, each
+    step's one wall-time reading (the same one its ``step.dispatch``
+    event carries) comes from a :class:`StepMeter`, which records gate
+    steps as kernel applies/seconds/bytes and collapses in the
+    measurement histogram, and state/branch high-water gauges update;
+    with ``None`` (or a disabled bundle) the loop pays none of that.
 
     ``check`` is the cancellation hook: a zero-argument callable
     invoked once per plan step (not per branch) that raises to abort
@@ -185,14 +288,9 @@ def run_plan(plan, state, atol, inst=None, check=None):
     recorder — an O(1) ring append per *step*, not per branch, so the
     overhead stays in the noise (the guard test holds it under 5%).
     """
-    enabled = inst is not None and inst.enabled
-    raw = plan.engine
+    engine = plan.engine
     nb_qubits = plan.nb_qubits
-    if enabled:
-        engine = InstrumentedBackend(raw, inst.metrics)
-        meas_hist = inst.metrics.histogram(
-            MEASUREMENTS, "wall seconds collapsing measurements/resets"
-        )
+    if inst is not None and inst.enabled:
         bytes_gauge = inst.metrics.gauge(
             STATE_BYTES_MAX, "high-water statevector bytes across branches"
         )
@@ -201,8 +299,6 @@ def run_plan(plan, state, atol, inst=None, check=None):
         )
         bytes_gauge.set_max(state.nbytes)
         branch_gauge.set_max(1)
-    else:
-        engine = raw
     branches = [Branch(1.0, state, "")]
     measurements = []
     highwater = state.nbytes
@@ -212,10 +308,14 @@ def run_plan(plan, state, atol, inst=None, check=None):
     # never aliases any branch's current state) holds because a swap
     # always retires the buffer the branch just left.
     spare = None
+    # instrumented runs take each step's reading from the meter's lap
+    # clock; plain runs time the step from t0
+    meter = step_meter(inst, engine)
     for step in plan.steps:
         if check is not None:
             check()
-        t0 = perf_counter()
+        if meter is None:
+            t0 = perf_counter()
         if step.kind == GATE:
             for branch in branches:
                 if (
@@ -230,20 +330,28 @@ def run_plan(plan, state, atol, inst=None, check=None):
                 if res is spare:
                     spare = branch.state
                 branch.state = res
+            kind = step_kind(step)
+            if meter is None:
+                dt = perf_counter() - t0
+            else:
+                dt = meter.kernel(
+                    kind, len(branches),
+                    len(branches) * engine.planned_bytes(
+                        step, res, nb_qubits
+                    ),
+                )
             record_event(
                 EV_STEP_DISPATCH,
-                op=step_kind(step),
+                op=kind,
                 nq=nb_qubits,
-                ns=int((perf_counter() - t0) * 1e9),
+                ns=int(dt * 1e9),
                 branches=len(branches),
             )
             continue
-        # basis changes inside _measure/_reset go through the raw
-        # engine so kernel metrics count gate applies only
         if step.kind == MEASURE:
             measurements.append((step.qubit, step.op))
             branches = _measure(
-                raw, branches, step.qubit, step.op, nb_qubits, atol,
+                engine, branches, step.qubit, step.op, nb_qubits, atol,
                 record=True,
             )
             op_kind = "measure"
@@ -251,11 +359,14 @@ def run_plan(plan, state, atol, inst=None, check=None):
             if step.op.record:
                 measurements.append((step.qubit, step.op))
             branches = _reset(
-                raw, branches, step.qubit, nb_qubits, atol,
+                engine, branches, step.qubit, nb_qubits, atol,
                 record=step.op.record,
             )
             op_kind = "reset"
-        dt = perf_counter() - t0
+        if meter is None:
+            dt = perf_counter() - t0
+        else:
+            dt = meter.collapse(op_kind)
         record_event(
             EV_STEP_DISPATCH,
             op=op_kind,
@@ -263,11 +374,9 @@ def run_plan(plan, state, atol, inst=None, check=None):
             ns=int(dt * 1e9),
             branches=len(branches),
         )
-        if enabled:
-            meas_hist.observe(dt, kind=op_kind)
-            branch_gauge.set_max(len(branches))
         live = sum(b.state.nbytes for b in branches)
-        if enabled:
+        if meter is not None:
+            branch_gauge.set_max(len(branches))
             bytes_gauge.set_max(live)
         if live > highwater:
             highwater = live

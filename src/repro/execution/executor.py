@@ -41,7 +41,6 @@ from repro.execution.request import (
     TRAJECTORY_BATCH,
     ExecutionRequest,
 )
-from repro.observability.backend import InstrumentedBackend
 from repro.observability.instrument import (
     activate,
     resolve_instrumentation,
@@ -299,18 +298,13 @@ class Executor:
             job.timings.compile_seconds = perf_counter() - t_c
             job._compiled(plan, stats)
             job.check_cancelled()
-            engine = plan.engine
-            span.set(backend=engine.name)
-            if inst.enabled:
-                # every K rho K^dagger conjugation is a gate apply;
-                # route them through the instrumented wrapper
-                engine = InstrumentedBackend(engine, inst.metrics)
+            span.set(backend=plan.engine.name)
             rho0 = initial_density(req.start, nb_qubits, opts.dtype)
             job._running()
             job._stage = "simulate_density"
             t0 = perf_counter()
             branches = run_density_plan(
-                plan, engine, rho0, noise, opts.atol
+                plan, rho0, noise, opts.atol, inst
             )
             stats.execute_seconds = perf_counter() - t0
             job._stats = stats
@@ -346,10 +340,8 @@ class Executor:
             job.timings.compile_seconds = perf_counter() - t_c
             job._compiled(plan, stats)
             job.check_cancelled()
-            engine = plan.engine
             if inst.enabled:
-                span.set(backend=engine.name)
-                engine = InstrumentedBackend(engine, inst.metrics)
+                span.set(backend=plan.engine.name)
                 inst.metrics.counter(
                     TRAJECTORIES, "Monte-Carlo trajectories executed"
                 ).inc()
@@ -358,7 +350,7 @@ class Executor:
             job._stage = "trajectory"
             t0 = perf_counter()
             result, state = traj.run_trajectory_plan(
-                plan, engine, channels, noise, req.start, rng
+                plan, channels, noise, req.start, rng, inst
             )
             stats.execute_seconds = perf_counter() - t0
             job._stats = stats
@@ -430,8 +422,8 @@ class Executor:
                 # than just simulating inline, so shrink it
                 workers = max(1, shots // floor)
             if inst.enabled:
-                # instrumented runs execute in-process so every kernel
-                # application lands in this run's registry
+                # instrumented runs execute in-process so every step
+                # reading lands in this run's registry
                 workers = 1
             record_event(
                 EV_BATCH_FANOUT,
@@ -441,15 +433,13 @@ class Executor:
                 floor=floor,
                 inline=workers <= 1,
             )
-            engine = plan.engine
             if inst.enabled:
                 span.set(
-                    backend=engine.name,
+                    backend=plan.engine.name,
                     batch_size=batch_size,
                     workers=workers,
                     draws_per_shot=draws_per_shot,
                 )
-                engine = InstrumentedBackend(engine, inst.metrics)
                 inst.metrics.counter(
                     TRAJECTORIES, "Monte-Carlo trajectories executed"
                 ).inc(shots)
@@ -506,8 +496,8 @@ class Executor:
                         "batch.execute", batch=block.shape[0]
                     ):
                         res, states = traj.execute_batch(
-                            plan, engine, channels, noise, req.start,
-                            block, opts.dtype,
+                            plan, channels, noise, req.start,
+                            block, opts.dtype, inst,
                         )
                     record_event(
                         EV_BATCH_EXECUTE,

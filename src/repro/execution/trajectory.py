@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.circuit.measurement import Measurement
 from repro.exceptions import SimulationError
+from repro.execution.dispatch import KRAUS, step_kind, step_meter
 from repro.simulation.plan import GATE, MEASURE, get_plan
 from repro.simulation.state import initial_state
 
@@ -168,23 +169,32 @@ def _sample_measurement(engine, state, meas, qubit, nb_qubits, rng):
     return outcome, state
 
 
-def run_trajectory_plan(plan, engine, channels, noise, start, rng):
+def run_trajectory_plan(plan, channels, noise, start, rng, inst=None):
     """Sample ONE noisy path through a compiled plan.
 
     Returns ``(result, state)`` — the recorded outcome string and the
-    final ``(2**n,)`` state.  ``engine`` is passed separately from
-    ``plan.engine`` so instrumented runs route gate applies through the
-    wrapper while collapse bookkeeping stays raw.
+    final ``(2**n,)`` state.  With an enabled ``inst`` every step is
+    timed once and recorded through a
+    :class:`~repro.execution.dispatch.StepMeter`: the gate apply under
+    its gate kind, each attached channel under ``kraus``, collapses in
+    the measurement histogram.
     """
+    engine = plan.engine
     nb_qubits = plan.nb_qubits
     if start is None:
         start = "0" * nb_qubits
     state = initial_state(start, nb_qubits, dtype=plan.dtype)
     outcomes = []
+    meter = step_meter(inst, engine)
 
     for step in plan.steps:
         if step.kind == GATE:
             state = engine.apply_planned(state, step, nb_qubits)
+            if meter is not None:
+                meter.kernel(
+                    step_kind(step), 1,
+                    engine.planned_bytes(step, state, nb_qubits),
+                )
             channel = (
                 channels.get(type(step.op))
                 if step.op is not None
@@ -195,6 +205,11 @@ def run_trajectory_plan(plan, engine, channels, noise, start, rng):
                     state = _apply_kraus(
                         engine, state, channel.kraus, q, nb_qubits, rng
                     )
+                    if meter is not None:
+                        meter.kernel(
+                            KRAUS, 1,
+                            2 * len(channel.kraus) * state.nbytes,
+                        )
             continue
         if step.kind == MEASURE:
             outcome, state = _sample_measurement(
@@ -205,6 +220,8 @@ def run_trajectory_plan(plan, engine, channels, noise, start, rng):
             ):
                 outcome = 1 - outcome
             outcomes.append(str(outcome))
+            if meter is not None:
+                meter.collapse("measure")
             continue
         # RESET
         meas = Measurement(step.op.qubit)
@@ -219,6 +236,8 @@ def run_trajectory_plan(plan, engine, channels, noise, start, rng):
             )
         if step.op.record:
             outcomes.append(str(outcome))
+        if meter is not None:
+            meter.collapse("reset")
 
     return "".join(outcomes), state
 
@@ -291,13 +310,16 @@ def _bit_matrix_to_strings(columns: list, batch: int) -> List[str]:
     return [bytes(row).decode("ascii") for row in mat]
 
 
-def execute_batch(plan, engine, channels, noise, start, draws, dtype):
+def execute_batch(plan, channels, noise, start, draws, dtype, inst=None):
     """Run one batch of trajectories through a compiled plan.
 
     ``draws`` is the pre-drawn ``(B, draws_per_shot)`` uniform matrix;
     column ``j`` holds every row's ``j``-th stochastic choice, matching
     the serial engine's shot-major consumption of the same stream.
+    With an enabled ``inst`` each step is timed once and recorded as
+    ``B`` applies (see :func:`run_trajectory_plan`).
     """
+    engine = plan.engine
     nb_qubits = plan.nb_qubits
     batch = draws.shape[0]
     base = initial_state(
@@ -315,6 +337,7 @@ def execute_batch(plan, engine, channels, noise, start, draws, dtype):
     # rebind `states` to fresh arrays; the spare stays disjoint either
     # way (a swap only ever retires the buffer states just left)
     spare = np.empty_like(states)
+    meter = step_meter(inst, engine)
 
     for step in plan.steps:
         if step.kind == GATE:
@@ -324,6 +347,11 @@ def execute_batch(plan, engine, channels, noise, start, draws, dtype):
             if new is spare:
                 spare = states
             states = new
+            if meter is not None:
+                meter.kernel(
+                    step_kind(step), batch,
+                    engine.planned_bytes(step, states, nb_qubits),
+                )
             channel = (
                 channels.get(type(step.op))
                 if step.op is not None
@@ -340,6 +368,11 @@ def execute_batch(plan, engine, channels, noise, start, draws, dtype):
                     states = _apply_kraus_batched(
                         engine, states, kraus, q, nb_qubits, r
                     )
+                    if meter is not None:
+                        meter.kernel(
+                            KRAUS, batch,
+                            2 * len(kraus) * states.nbytes,
+                        )
             continue
         if step.kind == MEASURE:
             outcomes, states = _sample_measurement_batched(
@@ -352,6 +385,8 @@ def execute_batch(plan, engine, channels, noise, start, draws, dtype):
                 col += 1
                 outcomes = outcomes ^ flips.astype(np.int64)
             recorded.append(outcomes)
+            if meter is not None:
+                meter.collapse("measure")
             continue
         # RESET
         meas = Measurement(step.op.qubit)
@@ -371,6 +406,8 @@ def execute_batch(plan, engine, channels, noise, start, draws, dtype):
             )
         if step.op.record:
             recorded.append(outcomes)
+        if meter is not None:
+            meter.collapse("reset")
 
     return _bit_matrix_to_strings(recorded, batch), states
 
@@ -389,6 +426,6 @@ def batch_worker(payload):
         circuit, opts.backend, opts.dtype, fuse=use_fuse
     )
     results, states = execute_batch(
-        plan, plan.engine, channels, noise, start, draws, opts.dtype
+        plan, channels, noise, start, draws, opts.dtype
     )
     return results, (states if keep_states else None)

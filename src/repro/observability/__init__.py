@@ -22,9 +22,11 @@ Exporters
     ``python -m repro.obs``.
 :func:`instrument`
     Context manager activating ambient instrumentation that every
-    simulation seam — plan compilation, plan execution, backend
-    kernels, density/trajectory engines, shot sampling, QASM io —
-    reports into::
+    simulation seam — plan compilation, the plan-replay loops
+    (statevector, density, serial and batched trajectories, each
+    timing every plan step once and recording it as gate-kind or
+    ``kraus`` kernel cost or as a measurement), shot sampling, QASM
+    io — reports into::
 
         from repro.observability import instrument
 
@@ -38,11 +40,6 @@ Exporters
     ``Simulation.report()`` returns the run's profile.
 """
 
-from repro.observability.backend import (
-    InstrumentedBackend,
-    gate_kind,
-    step_kind,
-)
 from repro.observability.exporters import (
     ProfileReport,
     dumps_json,
@@ -77,7 +74,6 @@ from repro.observability.metrics import (
     MetricsRegistry,
     PLAN_CACHE_HITS,
     PLAN_CACHE_MISSES,
-    PLAN_PREP_SECONDS,
     RNG_DRAWS,
     SERVICE_INFLIGHT,
     SERVICE_LATENCY,
@@ -130,9 +126,6 @@ __all__ = [
     "activate",
     "current_instrumentation",
     "resolve_instrumentation",
-    "InstrumentedBackend",
-    "gate_kind",
-    "step_kind",
     "ProfileReport",
     "to_json",
     "dumps_json",
@@ -165,7 +158,6 @@ __all__ = [
     "GATE_APPLIES",
     "KERNEL_SECONDS",
     "KERNEL_BYTES",
-    "PLAN_PREP_SECONDS",
     "FUSED_STEPS",
     "PLAN_CACHE_HITS",
     "PLAN_CACHE_MISSES",

@@ -28,7 +28,6 @@ from repro.observability.metrics import (
     KERNEL_SECONDS,
     MEASUREMENTS,
     MetricsRegistry,
-    PLAN_PREP_SECONDS,
     PLAN_CACHE_HITS,
     PLAN_CACHE_MISSES,
     STATE_BYTES_MAX,
@@ -298,16 +297,15 @@ class ProfileReport:
 
     def op_table(self) -> List[dict]:
         """The per-op cost attribution table: rows ``{backend, kind,
-        calls, seconds, bytes, prep_seconds}``, slowest first.
+        calls, seconds, bytes}``, slowest first.
 
         Extends :meth:`kernel_breakdown` with the approximate bytes
         touched per (backend, kind) series from
-        ``repro_kernel_bytes_total`` and the compile-time cost per
-        (backend, kind) from ``repro_plan_prepare_seconds`` (summed
-        over the ``prepare``/``refresh`` stages), so hot kernels can
-        be ranked by time, memory traffic, or prepare overhead.
-        Combinations that only ever prepared (never applied) appear
-        as rows with ``calls=0``.
+        ``repro_kernel_bytes_total``, so hot kernels can be ranked by
+        time or memory traffic.  Each plan-replay loop records one
+        reading per step: gate kinds count one call per state row per
+        branch, and noise channels attached to gate steps appear apart
+        as ``kind="kraus"``.
         """
         rows = self.kernel_breakdown()
         nbytes = (
@@ -320,36 +318,6 @@ class ProfileReport:
                 int(nbytes.value(backend=r["backend"], kind=r["kind"]))
                 if isinstance(nbytes, Counter)
                 else 0
-            )
-        prep = (
-            self.metrics.get(PLAN_PREP_SECONDS)
-            if self.metrics is not None
-            else None
-        )
-        prep_rows: dict = {}
-        if isinstance(prep, Histogram):
-            for labels in prep.labelsets():
-                key = (
-                    labels.get("backend", "?"),
-                    labels.get("kind", "?"),
-                )
-                prep_rows[key] = prep_rows.get(key, 0.0) + prep.sum(
-                    **labels
-                )
-        for r in rows:
-            r["prep_seconds"] = prep_rows.pop(
-                (r["backend"], r["kind"]), 0.0
-            )
-        for (backend, kind), secs in sorted(prep_rows.items()):
-            rows.append(
-                {
-                    "backend": backend,
-                    "kind": kind,
-                    "calls": 0,
-                    "seconds": 0.0,
-                    "bytes": 0,
-                    "prep_seconds": secs,
-                }
             )
         return rows
 

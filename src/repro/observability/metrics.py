@@ -25,7 +25,6 @@ __all__ = [
     "GATE_APPLIES",
     "KERNEL_SECONDS",
     "KERNEL_BYTES",
-    "PLAN_PREP_SECONDS",
     "FUSED_STEPS",
     "PLAN_CACHE_HITS",
     "PLAN_CACHE_MISSES",
@@ -59,15 +58,13 @@ __all__ = [
 # -- canonical instrument names ----------------------------------------------
 
 #: Gate-kernel applications, labelled by ``backend`` and ``kind``
-#: (``1q`` / ``diag`` / ``kq`` / ``controlled``).
+#: (``1q`` / ``diag`` / ``kq`` / ``controlled``, and ``kraus`` for
+#: noise channels); one per state row per branch per plan step.
 GATE_APPLIES = "repro_gate_applies_total"
-#: Wall seconds spent inside backend kernels (same labels).
+#: Wall seconds of each plan-step reading (same labels).
 KERNEL_SECONDS = "repro_kernel_seconds"
 #: Approximate bytes read+written by backend kernels (same labels).
 KERNEL_BYTES = "repro_kernel_bytes_total"
-#: Wall seconds building plan-step kernels, labelled by ``backend``,
-#: ``kind`` and ``stage`` (``prepare`` at compile, ``refresh`` at bind).
-PLAN_PREP_SECONDS = "repro_plan_prepare_seconds"
 #: Source gates merged away by plan fusion, labelled by ``kind``.
 FUSED_STEPS = "repro_fused_steps_total"
 #: Plan-cache hits / misses observed by instrumented runs.

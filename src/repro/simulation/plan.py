@@ -46,14 +46,12 @@ from repro.ir.program import GATE as IR_GATE
 from repro.ir.program import MEASURE as IR_MEASURE
 from repro.ir.program import RESET as IR_RESET
 from repro.ir.program import KIND_NAMES
-from repro.observability.backend import step_kind
 from repro.observability.instrument import current_instrumentation
 from repro.observability.metrics import (
     FUSED_STEPS,
     PARAM_BINDS,
     PLAN_CACHE_HITS,
     PLAN_CACHE_MISSES,
-    PLAN_PREP_SECONDS,
 )
 from repro.observability.recorder import (
     EV_PLAN_BIND,
@@ -257,9 +255,7 @@ class CompiledPlan:
             nb_steps=len(self._param_steps),
         ):
             dtype = self.dtype
-            prep_hist = _prep_histogram(inst)
             for step in self._param_steps:
-                t_prep = perf_counter()
                 theta = step.param.resolve(mapping)
                 kernel = step.op.kernel_values(
                     np.asarray([theta], dtype=float)
@@ -270,13 +266,6 @@ class CompiledPlan:
                 if step.diagonal:
                     step.diag = np.ascontiguousarray(
                         np.diag(step.kernel)
-                    )
-                if prep_hist is not None:
-                    prep_hist.observe(
-                        perf_counter() - t_prep,
-                        backend=self.engine.name,
-                        stage="refresh",
-                        kind=step_kind(step),
                     )
             if inst.enabled:
                 inst.metrics.counter(
@@ -510,17 +499,6 @@ def _fuse_into_window(
 # -- compilation -------------------------------------------------------------
 
 
-def _prep_histogram(inst):
-    """The step-preparation histogram of an enabled instrumentation
-    bundle, else ``None``."""
-    if not inst.enabled:
-        return None
-    return inst.metrics.histogram(
-        PLAN_PREP_SECONDS,
-        "wall seconds building plan-step kernels (compile and bind)",
-    )
-
-
 def _table_bytes(steps: list) -> int:
     """Bytes of the per-step arrays a plan holds (kernels and
     diagonals); no backend keeps state-sized tables."""
@@ -590,7 +568,6 @@ def _compile_circuit(
     recorded = []
     last_touch: dict = {}
     record_index: dict = {}
-    prep_hist = _prep_histogram(current_instrumentation())
 
     for irop in program:
         kind = irop.kind
@@ -620,7 +597,6 @@ def _compile_circuit(
                     last_touch[q] = op
                 steps.append(step)  # opaque to fusion
                 continue
-            t_prep = perf_counter()
             step.kernel = irop.kernel(dtype)
             if step.diagonal:
                 step.diag = np.ascontiguousarray(np.diag(step.kernel))
@@ -628,13 +604,6 @@ def _compile_circuit(
                 step.kernel, step.targets, nb_qubits, step.controls,
                 step.control_states,
             )
-            if prep_hist is not None:
-                prep_hist.observe(
-                    perf_counter() - t_prep,
-                    backend=engine.name,
-                    stage="prepare",
-                    kind=step_kind(step),
-                )
             for q in irop.qubits:
                 last_touch[q] = op
             if fuse and _fuse_into_window(

@@ -17,7 +17,6 @@ from repro.observability import (
     KERNEL_SECONDS,
     PLAN_CACHE_HITS,
     PLAN_CACHE_MISSES,
-    PLAN_PREP_SECONDS,
     RNG_DRAWS,
     SHOTS_SAMPLED,
     STATE_BYTES_MAX,
@@ -342,32 +341,12 @@ class TestExporters:
         for r in rows:
             assert set(r) == {
                 "backend", "kind", "calls", "seconds", "bytes",
-                "prep_seconds",
             }
-            assert r["prep_seconds"] >= 0.0
         applied = [r for r in rows if r["calls"] > 0]
         assert applied
         # a 2-qubit statevector is 64 bytes; every kernel streams it
         # in and out at least once
         assert all(r["bytes"] >= 64 for r in applied)
-        # compile-time cost is attributed per (backend, kind); the
-        # instrumented run prepared at least one step, so some row
-        # carries a positive prepare time
-        assert any(r["prep_seconds"] > 0 for r in rows)
-        # prepare-only combos surface as calls=0 rows rather than
-        # vanishing from the attribution table
-        assert all(
-            r["bytes"] == 0 and r["seconds"] == 0.0
-            for r in rows
-            if r["calls"] == 0
-        )
-        prep = inst.metrics.get(PLAN_PREP_SECONDS)
-        assert prep is not None and prep.total_sum() >= 0
-        assert (
-            sum(
-                prep.count(**labels) for labels in prep.labelsets()
-            ) > 0
-        )
         nbytes = inst.metrics.get(KERNEL_BYTES)
         assert nbytes is not None and nbytes.total() > 0
 
