@@ -12,6 +12,7 @@ and measurements selectively.  The public entry point and the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -149,11 +150,12 @@ def run_density_plan(plan, rho0, noise, atol, inst=None):
 
     Channels resolve per source gate via ``noise.channel_for``; readout
     errors mix branch probabilities classically after each measurement.
-    With an enabled ``inst`` each step is timed once and recorded
-    through a :class:`~repro.execution.dispatch.StepMeter`: one apply
-    per branch for a gate step's ``U rho U^dagger``, one ``kraus``
-    observation per noisy qubit, collapses in the measurement
-    histogram.  Returns the final :class:`DensityBranch` list.
+    With an enabled ``inst`` each step is timed once, around its own
+    work, and accounted through a
+    :class:`~repro.execution.dispatch.StepMeter`: one apply per branch
+    for a gate step's ``U rho U^dagger``, one ``kraus`` reading per
+    noisy qubit, collapses in the measurement histogram.  Returns the
+    final :class:`DensityBranch` list.
     """
     engine = plan.engine
     nb_qubits = plan.nb_qubits
@@ -161,6 +163,8 @@ def run_density_plan(plan, rho0, noise, atol, inst=None):
     meter = step_meter(inst, engine)
 
     for step in plan.steps:
+        if meter is not None:
+            t0 = perf_counter()
         if step.kind == GATE:
             for branch in branches:
                 # U rho U^dagger via two planned applies (column- then
@@ -172,10 +176,12 @@ def run_density_plan(plan, rho0, noise, atol, inst=None):
                 )
                 branch.rho = right.conj().T
             if meter is not None:
+                dt = perf_counter() - t0
                 meter.kernel(
                     step_kind(step), len(branches),
                     2 * len(branches)
                     * engine.planned_bytes(step, rho0, nb_qubits),
+                    dt,
                 )
             channel = (
                 noise.channel_for(step.op)
@@ -184,16 +190,20 @@ def run_density_plan(plan, rho0, noise, atol, inst=None):
             )
             if channel is not None and not channel.is_identity:
                 for q in step.noise_qubits:
+                    if meter is not None:
+                        t0 = perf_counter()
                     for branch in branches:
                         branch.rho = _apply_channel(
                             engine, branch.rho, channel.kraus, q,
                             nb_qubits,
                         )
                     if meter is not None:
+                        dt = perf_counter() - t0
                         meter.kernel(
                             KRAUS, len(branches),
                             4 * len(channel.kraus) * len(branches)
                             * rho0.nbytes,
+                            dt,
                         )
             continue
         if step.kind == MEASURE:
@@ -203,12 +213,14 @@ def run_density_plan(plan, rho0, noise, atol, inst=None):
             if noise.readout_error > 0.0:
                 branches = _flip_readouts(branches, noise.readout_error)
             if meter is not None:
-                meter.collapse("measure")
+                meter.collapse("measure", perf_counter() - t0)
             continue
         # RESET
         branches = _reset_density(
             engine, branches, step.op, step.qubit, nb_qubits, atol
         )
         if meter is not None:
-            meter.collapse("reset")
+            meter.collapse("reset", perf_counter() - t0)
+    if meter is not None:
+        meter.flush()
     return branches

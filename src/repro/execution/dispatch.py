@@ -34,6 +34,7 @@ from repro.observability.metrics import (
     STATE_BYTES_MAX,
     SWEEP_POINTS,
 )
+from repro.observability.tracer import NULL_SPAN
 from repro.observability.recorder import (
     EV_PLAN_SWEEP,
     EV_STATE_HIGHWATER,
@@ -86,7 +87,8 @@ class StepMeter:
     """Per-step cost accounting for one instrumented plan replay.
 
     Every plan-replay loop (:func:`run_plan`, and the density and
-    trajectory loops) closes one reading per plan step here:
+    trajectory loops) times each plan step once, around the step's own
+    work, and hands that one reading here:
 
     * gate steps -> ``repro_gate_applies_total`` /
       ``repro_kernel_seconds`` / ``repro_kernel_bytes_total`` under
@@ -96,68 +98,65 @@ class StepMeter:
     * measure/reset steps (basis changes and reset flips included) ->
       ``repro_measurements_total`` under ``kind="measure"``/``"reset"``.
 
-    The readings are laps of one clock started when the meter is made
-    (just before the loop): each runs from the previous reading to
-    this one.  They tile the replay, so their sum is its wall time and
-    the meter's own recording lands in the next lap instead of going
-    unaccounted.
+    While the replay runs the meter only appends each reading to a
+    list, outside the reading; :meth:`flush` folds them into the
+    registry once, when the replay is done.
     """
 
     def __init__(self, metrics, backend: str):
-        self._applies = metrics.counter(
-            GATE_APPLIES, "gate-kernel applications by backend and kind"
-        )
-        self._seconds = metrics.histogram(
-            KERNEL_SECONDS, "wall seconds inside backend kernels"
-        )
-        self._bytes = metrics.counter(
-            KERNEL_BYTES, "approximate bytes touched by backend kernels"
-        )
-        self._collapses = metrics.histogram(
-            MEASUREMENTS, "wall seconds collapsing measurements/resets"
-        )
+        self._metrics = metrics
         self._backend = backend
-        # kind -> bound (applies, seconds, bytes) children, bound on a
-        # kind's first step so recording skips the label plumbing
-        self._handles: dict = {}
-        self._last = perf_counter()
+        self._kernels: list = []  # (kind, applies, bytes, seconds)
+        self._collapses: list = []  # (kind, seconds)
 
-    def _lap(self) -> float:
-        now = perf_counter()
-        dt = now - self._last
-        self._last = now
-        return dt
+    def kernel(self, kind: str, applies: int, nbytes, seconds: float):
+        """Account one gate step (or attached channel) of ``kind``."""
+        self._kernels.append((kind, applies, nbytes, seconds))
 
-    def kernel(self, kind: str, applies: int, nbytes) -> float:
-        """Close the reading of one gate step (or attached channel) of
-        ``kind``; returns its seconds."""
-        dt = self._lap()
-        handles = self._handles.get(kind)
-        if handles is None:
-            labels = {"backend": self._backend, "kind": kind}
-            handles = self._handles[kind] = (
-                self._applies.labels(**labels),
-                self._seconds.labels(**labels),
-                self._bytes.labels(**labels),
+    def collapse(self, kind: str, seconds: float) -> None:
+        """Account one measure/reset step."""
+        self._collapses.append((kind, seconds))
+
+    def flush(self) -> None:
+        """Fold the accounted readings into the metrics registry."""
+        metrics = self._metrics
+        if self._kernels:
+            applies_c = metrics.counter(
+                GATE_APPLIES, "gate-kernel applications by backend and kind"
             )
-        applies_h, seconds_h, bytes_h = handles
-        applies_h.inc(applies)
-        seconds_h.observe(dt)
-        bytes_h.inc(nbytes)
-        return dt
-
-    def collapse(self, kind: str) -> float:
-        """Close the reading of one measure/reset step; returns its
-        seconds."""
-        dt = self._lap()
-        self._collapses.observe(dt, kind=kind)
-        return dt
+            seconds_h = metrics.histogram(
+                KERNEL_SECONDS, "wall seconds of each gate step or channel"
+            )
+            bytes_c = metrics.counter(
+                KERNEL_BYTES, "approximate bytes touched by backend kernels"
+            )
+            # kind -> bound (applies, seconds, bytes) children
+            handles: dict = {}
+            for kind, applies, nbytes, seconds in self._kernels:
+                bound = handles.get(kind)
+                if bound is None:
+                    labels = {"backend": self._backend, "kind": kind}
+                    bound = handles[kind] = (
+                        applies_c.labels(**labels),
+                        seconds_h.labels(**labels),
+                        bytes_c.labels(**labels),
+                    )
+                bound[0].inc(applies)
+                bound[1].observe(seconds)
+                bound[2].inc(nbytes)
+        if self._collapses:
+            hist = metrics.histogram(
+                MEASUREMENTS, "wall seconds collapsing measurements/resets"
+            )
+            for kind, seconds in self._collapses:
+                hist.observe(seconds, kind=kind)
+        self._kernels.clear()
+        self._collapses.clear()
 
 
 def step_meter(inst, engine):
-    """A started :class:`StepMeter` for an enabled instrumentation
-    bundle, else ``None`` — the loops test for ``None`` and read no
-    clock."""
+    """A :class:`StepMeter` for an enabled instrumentation bundle, else
+    ``None`` — the loops test for ``None`` and read no extra clock."""
     if inst is None or not inst.enabled:
         return None
     return StepMeter(inst.metrics, engine.name)
@@ -268,12 +267,15 @@ def run_plan(plan, state, atol, inst=None, check=None):
 
     THE dispatch loop — the only place planned statevector steps
     execute.  ``inst`` parameterizes instrumentation: with an enabled
-    :class:`~repro.observability.instrument.Instrumentation`, each
-    step's one wall-time reading (the same one its ``step.dispatch``
-    event carries) comes from a :class:`StepMeter`, which records gate
-    steps as kernel applies/seconds/bytes and collapses in the
-    measurement histogram, and state/branch high-water gauges update;
-    with ``None`` (or a disabled bundle) the loop pays none of that.
+    :class:`~repro.observability.instrument.Instrumentation` the replay
+    runs inside a ``simulate.execute`` span, and each step's one
+    wall-time reading (the same one its ``step.dispatch`` event
+    carries) goes to a :class:`StepMeter`, which accounts gate steps as
+    kernel applies/seconds/bytes and collapses in the measurement
+    histogram.  The meter's totals and the state/branch high-water
+    gauges are folded into the registry once, after the span closes —
+    also when the replay is cancelled.  With ``None`` (or a disabled
+    bundle) the loop pays none of that.
 
     ``check`` is the cancellation hook: a zero-argument callable
     invoked once per plan step (not per branch) that raises to abort
@@ -290,15 +292,6 @@ def run_plan(plan, state, atol, inst=None, check=None):
     """
     engine = plan.engine
     nb_qubits = plan.nb_qubits
-    if inst is not None and inst.enabled:
-        bytes_gauge = inst.metrics.gauge(
-            STATE_BYTES_MAX, "high-water statevector bytes across branches"
-        )
-        branch_gauge = inst.metrics.gauge(
-            BRANCHES_MAX, "high-water simultaneous measurement branches"
-        )
-        bytes_gauge.set_max(state.nbytes)
-        branch_gauge.set_max(1)
     branches = [Branch(1.0, state, "")]
     measurements = []
     highwater = state.nbytes
@@ -308,81 +301,93 @@ def run_plan(plan, state, atol, inst=None, check=None):
     # never aliases any branch's current state) holds because a swap
     # always retires the buffer the branch just left.
     spare = None
-    # instrumented runs take each step's reading from the meter's lap
-    # clock; plain runs time the step from t0
     meter = step_meter(inst, engine)
-    for step in plan.steps:
-        if check is not None:
-            check()
-        if meter is None:
-            t0 = perf_counter()
-        if step.kind == GATE:
-            for branch in branches:
-                if (
-                    spare is None
-                    or spare.shape != branch.state.shape
-                    or spare.dtype != branch.state.dtype
-                ):
-                    spare = np.empty_like(branch.state)
-                res = engine.apply_planned(
-                    branch.state, step, nb_qubits, out=spare
-                )
-                if res is spare:
-                    spare = branch.state
-                branch.state = res
-            kind = step_kind(step)
-            if meter is None:
+    span = (
+        NULL_SPAN if meter is None
+        else inst.span("simulate.execute", backend=engine.name)
+    )
+    try:
+        with span:
+            for step in plan.steps:
+                if check is not None:
+                    check()
+                t0 = perf_counter()
+                if step.kind == GATE:
+                    for branch in branches:
+                        if (
+                            spare is None
+                            or spare.shape != branch.state.shape
+                            or spare.dtype != branch.state.dtype
+                        ):
+                            spare = np.empty_like(branch.state)
+                        res = engine.apply_planned(
+                            branch.state, step, nb_qubits, out=spare
+                        )
+                        if res is spare:
+                            spare = branch.state
+                        branch.state = res
+                    dt = perf_counter() - t0
+                    kind = step_kind(step)
+                    record_event(
+                        EV_STEP_DISPATCH,
+                        op=kind,
+                        nq=nb_qubits,
+                        ns=int(dt * 1e9),
+                        branches=len(branches),
+                    )
+                    if meter is not None:
+                        meter.kernel(
+                            kind, len(branches),
+                            len(branches) * engine.planned_bytes(
+                                step, res, nb_qubits
+                            ),
+                            dt,
+                        )
+                    continue
+                if step.kind == MEASURE:
+                    measurements.append((step.qubit, step.op))
+                    branches = _measure(
+                        engine, branches, step.qubit, step.op, nb_qubits,
+                        atol, record=True,
+                    )
+                    op_kind = "measure"
+                else:  # RESET
+                    if step.op.record:
+                        measurements.append((step.qubit, step.op))
+                    branches = _reset(
+                        engine, branches, step.qubit, nb_qubits, atol,
+                        record=step.op.record,
+                    )
+                    op_kind = "reset"
                 dt = perf_counter() - t0
-            else:
-                dt = meter.kernel(
-                    kind, len(branches),
-                    len(branches) * engine.planned_bytes(
-                        step, res, nb_qubits
-                    ),
+                record_event(
+                    EV_STEP_DISPATCH,
+                    op=op_kind,
+                    nq=nb_qubits,
+                    ns=int(dt * 1e9),
+                    branches=len(branches),
                 )
-            record_event(
-                EV_STEP_DISPATCH,
-                op=kind,
-                nq=nb_qubits,
-                ns=int(dt * 1e9),
-                branches=len(branches),
-            )
-            continue
-        if step.kind == MEASURE:
-            measurements.append((step.qubit, step.op))
-            branches = _measure(
-                engine, branches, step.qubit, step.op, nb_qubits, atol,
-                record=True,
-            )
-            op_kind = "measure"
-        else:  # RESET
-            if step.op.record:
-                measurements.append((step.qubit, step.op))
-            branches = _reset(
-                engine, branches, step.qubit, nb_qubits, atol,
-                record=step.op.record,
-            )
-            op_kind = "reset"
-        if meter is None:
-            dt = perf_counter() - t0
-        else:
-            dt = meter.collapse(op_kind)
-        record_event(
-            EV_STEP_DISPATCH,
-            op=op_kind,
-            nq=nb_qubits,
-            ns=int(dt * 1e9),
-            branches=len(branches),
-        )
-        live = sum(b.state.nbytes for b in branches)
+                if meter is not None:
+                    meter.collapse(op_kind, dt)
+                live = sum(b.state.nbytes for b in branches)
+                if live > highwater:
+                    highwater = live
+                    record_event(
+                        EV_STATE_HIGHWATER, bytes=live,
+                        branches=len(branches),
+                    )
+    finally:
         if meter is not None:
-            branch_gauge.set_max(len(branches))
-            bytes_gauge.set_max(live)
-        if live > highwater:
-            highwater = live
-            record_event(
-                EV_STATE_HIGHWATER, bytes=live, branches=len(branches)
-            )
+            meter.flush()
+            # branches only ever split, so the final count and the
+            # byte high-water mark are the run's maxima
+            inst.metrics.gauge(
+                STATE_BYTES_MAX,
+                "high-water statevector bytes across branches",
+            ).set_max(highwater)
+            inst.metrics.gauge(
+                BRANCHES_MAX, "high-water simultaneous measurement branches"
+            ).set_max(len(branches))
     return branches, measurements
 
 

@@ -255,17 +255,9 @@ class Executor:
                 job._running()
                 job._stage = "simulate.execute"
                 t0 = perf_counter()
-                if inst.enabled:
-                    with inst.span(
-                        "simulate.execute", backend=plan.engine.name
-                    ):
-                        branches, measurements = run_plan(
-                            plan, state, opts.atol, inst, check=check
-                        )
-                else:
-                    branches, measurements = run_plan(
-                        plan, state, opts.atol, check=check
-                    )
+                branches, measurements = run_plan(
+                    plan, state, opts.atol, inst, check=check
+                )
                 stats.execute_seconds = perf_counter() - t0
             job._stats = stats
             job.timings.execute_seconds = stats.execute_seconds

@@ -27,6 +27,7 @@ initialization.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import List
 
 import numpy as np
@@ -174,7 +175,7 @@ def run_trajectory_plan(plan, channels, noise, start, rng, inst=None):
 
     Returns ``(result, state)`` — the recorded outcome string and the
     final ``(2**n,)`` state.  With an enabled ``inst`` every step is
-    timed once and recorded through a
+    timed once, around its own work, and accounted through a
     :class:`~repro.execution.dispatch.StepMeter`: the gate apply under
     its gate kind, each attached channel under ``kraus``, collapses in
     the measurement histogram.
@@ -188,12 +189,15 @@ def run_trajectory_plan(plan, channels, noise, start, rng, inst=None):
     meter = step_meter(inst, engine)
 
     for step in plan.steps:
+        if meter is not None:
+            t0 = perf_counter()
         if step.kind == GATE:
             state = engine.apply_planned(state, step, nb_qubits)
             if meter is not None:
+                dt = perf_counter() - t0
                 meter.kernel(
                     step_kind(step), 1,
-                    engine.planned_bytes(step, state, nb_qubits),
+                    engine.planned_bytes(step, state, nb_qubits), dt,
                 )
             channel = (
                 channels.get(type(step.op))
@@ -202,13 +206,16 @@ def run_trajectory_plan(plan, channels, noise, start, rng, inst=None):
             )
             if channel is not None:
                 for q in step.noise_qubits:
+                    if meter is not None:
+                        t0 = perf_counter()
                     state = _apply_kraus(
                         engine, state, channel.kraus, q, nb_qubits, rng
                     )
                     if meter is not None:
+                        dt = perf_counter() - t0
                         meter.kernel(
                             KRAUS, 1,
-                            2 * len(channel.kraus) * state.nbytes,
+                            2 * len(channel.kraus) * state.nbytes, dt,
                         )
             continue
         if step.kind == MEASURE:
@@ -221,7 +228,7 @@ def run_trajectory_plan(plan, channels, noise, start, rng, inst=None):
                 outcome = 1 - outcome
             outcomes.append(str(outcome))
             if meter is not None:
-                meter.collapse("measure")
+                meter.collapse("measure", perf_counter() - t0)
             continue
         # RESET
         meas = Measurement(step.op.qubit)
@@ -237,7 +244,9 @@ def run_trajectory_plan(plan, channels, noise, start, rng, inst=None):
         if step.op.record:
             outcomes.append(str(outcome))
         if meter is not None:
-            meter.collapse("reset")
+            meter.collapse("reset", perf_counter() - t0)
+    if meter is not None:
+        meter.flush()
 
     return "".join(outcomes), state
 
@@ -316,8 +325,9 @@ def execute_batch(plan, channels, noise, start, draws, dtype, inst=None):
     ``draws`` is the pre-drawn ``(B, draws_per_shot)`` uniform matrix;
     column ``j`` holds every row's ``j``-th stochastic choice, matching
     the serial engine's shot-major consumption of the same stream.
-    With an enabled ``inst`` each step is timed once and recorded as
-    ``B`` applies (see :func:`run_trajectory_plan`).
+    With an enabled ``inst`` each step is timed once, around its own
+    work, and accounted as ``B`` applies (see
+    :func:`run_trajectory_plan`).
     """
     engine = plan.engine
     nb_qubits = plan.nb_qubits
@@ -340,6 +350,8 @@ def execute_batch(plan, channels, noise, start, draws, dtype, inst=None):
     meter = step_meter(inst, engine)
 
     for step in plan.steps:
+        if meter is not None:
+            t0 = perf_counter()
         if step.kind == GATE:
             new = engine.apply_planned_batched(
                 states, step, nb_qubits, out=spare
@@ -348,9 +360,10 @@ def execute_batch(plan, channels, noise, start, draws, dtype, inst=None):
                 spare = states
             states = new
             if meter is not None:
+                dt = perf_counter() - t0
                 meter.kernel(
                     step_kind(step), batch,
-                    engine.planned_bytes(step, states, nb_qubits),
+                    engine.planned_bytes(step, states, nb_qubits), dt,
                 )
             channel = (
                 channels.get(type(step.op))
@@ -361,6 +374,8 @@ def execute_batch(plan, channels, noise, start, draws, dtype, inst=None):
                 kraus = channel.kraus
                 needs_draw = len(kraus) > 1
                 for q in step.noise_qubits:
+                    if meter is not None:
+                        t0 = perf_counter()
                     r = None
                     if needs_draw:
                         r = draws[:, col]
@@ -369,9 +384,10 @@ def execute_batch(plan, channels, noise, start, draws, dtype, inst=None):
                         engine, states, kraus, q, nb_qubits, r
                     )
                     if meter is not None:
+                        dt = perf_counter() - t0
                         meter.kernel(
                             KRAUS, batch,
-                            2 * len(kraus) * states.nbytes,
+                            2 * len(kraus) * states.nbytes, dt,
                         )
             continue
         if step.kind == MEASURE:
@@ -386,7 +402,7 @@ def execute_batch(plan, channels, noise, start, draws, dtype, inst=None):
                 outcomes = outcomes ^ flips.astype(np.int64)
             recorded.append(outcomes)
             if meter is not None:
-                meter.collapse("measure")
+                meter.collapse("measure", perf_counter() - t0)
             continue
         # RESET
         meas = Measurement(step.op.qubit)
@@ -407,7 +423,9 @@ def execute_batch(plan, channels, noise, start, draws, dtype, inst=None):
         if step.op.record:
             recorded.append(outcomes)
         if meter is not None:
-            meter.collapse("reset")
+            meter.collapse("reset", perf_counter() - t0)
+    if meter is not None:
+        meter.flush()
 
     return _bit_matrix_to_strings(recorded, batch), states
 

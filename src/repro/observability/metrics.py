@@ -61,7 +61,8 @@ __all__ = [
 #: (``1q`` / ``diag`` / ``kq`` / ``controlled``, and ``kraus`` for
 #: noise channels); one per state row per branch per plan step.
 GATE_APPLIES = "repro_gate_applies_total"
-#: Wall seconds of each plan-step reading (same labels).
+#: Wall seconds of each gate step or attached noise channel, timed
+#: around its own work (same labels).
 KERNEL_SECONDS = "repro_kernel_seconds"
 #: Approximate bytes read+written by backend kernels (same labels).
 KERNEL_BYTES = "repro_kernel_bytes_total"

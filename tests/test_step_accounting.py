@@ -7,6 +7,8 @@ under ``kind="kraus"``, and collapses land in the measurement
 histogram.
 """
 
+import time
+
 import pytest
 
 from repro.circuit import Measurement, QCircuit
@@ -117,3 +119,40 @@ def test_noisy_density_and_serial_runs_show_kraus_rows():
         kinds = {r["kind"] for r in inst.report().op_table()}
         assert "kraus" in kinds
         assert inst.metrics.get(MEASUREMENTS).total_sum() > 0
+
+
+def _replay(check):
+    from repro.execution.dispatch import run_plan
+    from repro.simulation.state import initial_state
+
+    plan = compile_circuit(x_measured_bell(), fuse=False)
+    with instrument() as inst:
+        try:
+            run_plan(plan, initial_state("00", 2), 1e-12, inst, check=check)
+        except RuntimeError:
+            pass
+    return plan, inst
+
+
+def test_readings_leave_out_time_between_steps():
+    """Each reading is a window around its step's own work: time spent
+    between steps (here a slow cancellation hook) lands in none."""
+    pause = 0.005
+    plan, inst = _replay(lambda: time.sleep(pause))
+    accounted = (
+        inst.metrics.get(KERNEL_SECONDS).total_sum()
+        + inst.metrics.get(MEASUREMENTS).total_sum()
+    )
+    assert accounted < 0.5 * pause * len(plan.steps)
+
+
+def test_cancelled_replay_still_records_the_steps_it_ran():
+    calls = []
+
+    def check():
+        calls.append(None)
+        if len(calls) == 3:  # abort before the measurement step
+            raise RuntimeError("cancelled")
+
+    _, inst = _replay(check)
+    assert applies_by_kind(inst) == {"1q": 1, "controlled": 1}
