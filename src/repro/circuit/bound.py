@@ -8,9 +8,9 @@ circuit's compiled plan — the plan cache keys parametric gates by slot
 identity, so every binding of the same circuit hits one cached plan and
 only the per-step kernel tables are refilled.
 
-This is the supported replacement for the historical sweep idiom of
-mutating ``gate.theta`` in place between ``simulate()`` calls (which
-recompiled the plan at every point and is now deprecated).
+Parametric gates are value-immutable, so binding (and
+:meth:`~repro.circuit.QCircuit.sweep` for many points) is how a
+circuit is evaluated at new angles.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class BoundCircuit:
         """The base circuit's parameter slots."""
         return self._base.parameters
 
-    def simulate(self, start="0", options=None, **kwargs):
+    def simulate(self, start="0", options=None):
         """Simulate the base circuit at this binding.
 
         Same interface as :meth:`repro.circuit.QCircuit.simulate`; the
@@ -64,8 +64,7 @@ class BoundCircuit:
         """
         from repro.simulation.simulate import simulate as _simulate
 
-        kwargs.setdefault("_stacklevel", 4)
-        return _simulate(self, start, options, **kwargs)
+        return _simulate(self, start, options)
 
     def materialize(self) -> QCircuit:
         """A concrete :class:`~repro.circuit.QCircuit` copy with every

@@ -267,8 +267,8 @@ class QCircuit(QObject):
         :attr:`parameters`.  The view shares this circuit — no copy, no
         revision bump — and simulating it reuses this circuit's cached
         compiled plan, only refilling the parametric kernel tables.
-        This replaces the deprecated sweep idiom of mutating
-        ``gate.theta`` in place between ``simulate()`` calls.
+        Gate angles are read-only, so binding (or :meth:`sweep`) is
+        how a parametric circuit is evaluated at new values.
 
         >>> from repro import Parameter, QCircuit
         >>> from repro.gates import RotationY
@@ -307,12 +307,6 @@ class QCircuit(QObject):
         self,
         start="0",
         options=None,
-        *,
-        backend=None,
-        atol=None,
-        dtype=None,
-        seed=None,
-        fuse=None,
     ):
         """Simulate the circuit from an initial state.
 
@@ -325,11 +319,8 @@ class QCircuit(QObject):
             A :class:`~repro.simulation.SimulationOptions` (or plain
             dict) holding backend, atol, dtype, seed and fusion
             settings — the unified configuration object shared by every
-            simulation entry point.
-        backend, atol, dtype, seed, fuse:
-            Per-field overrides of ``options``.  Passing them without
-            ``options`` is the historical keyword form and emits a
-            :class:`DeprecationWarning` (it keeps working).
+            simulation entry point, and the only way to configure a
+            run.
 
         Returns
         -------
@@ -340,41 +331,11 @@ class QCircuit(QObject):
         """
         from repro.simulation.simulate import simulate as _simulate
 
-        return _simulate(
-            self,
-            start,
-            options,
-            backend=backend,
-            atol=atol,
-            dtype=dtype,
-            seed=seed,
-            fuse=fuse,
-            # this method adds a frame between the user and the shim;
-            # keep deprecation warnings pointing at the user's line
-            _stacklevel=4,
-        )
+        return _simulate(self, start, options)
 
-    def counts(
-        self, shots: int, start="0", seed=None, backend=None, options=None
-    ):
+    def counts(self, shots: int, start="0", seed=None, options=None):
         """Shot-sample the circuit: convenience for
-        ``simulate(start).counts(shots, seed)``."""
-        if backend is not None:
-            import warnings
-
-            warnings.warn(
-                "the backend keyword of counts() is deprecated; pass "
-                "options=SimulationOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            from repro.simulation.options import (
-                resolve_simulation_options,
-            )
-
-            options = resolve_simulation_options(
-                options, caller="counts"
-            ).replace(backend=backend)
+        ``simulate(start, options).counts(shots, seed)``."""
         return self.simulate(start, options).counts(shots, seed=seed)
 
     # -- blocks (Grover-style modular drawing) ---------------------------------------

@@ -261,7 +261,7 @@ class Executor:
                 stats.execute_seconds = perf_counter() - t0
             job._stats = stats
             job.timings.execute_seconds = stats.execute_seconds
-            return Simulation._from_run(
+            return Simulation(
                 nb_qubits, branches, measurements, plan.end_measured,
                 plan.engine.name, engine=plan.engine, stats=stats,
                 seed=req.seed,

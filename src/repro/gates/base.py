@@ -41,11 +41,14 @@ __all__ = [
 ]
 
 #: Global counter bumped by every *in-place* mutation of a pushed
-#: operation (gate angle setters, qubit reassignment, measurement
-#: retargeting).  Such mutations never bump a circuit's structural
-#: ``revision``, so caches derived from gate state — the IR program's
-#: structural signature, its parameter-slot list — key their entries on
-#: this counter instead of re-walking the op tree per call.
+#: operation.  There are two: the ``qubit`` setters (behind QCLAB's
+#: ``setQubit``) of one-qubit gates, measurements and resets, and the
+#: in-place ``fuse`` of Phase and the one- and two-qubit rotations.
+#: Angles are otherwise fixed at construction.  Such mutations never
+#: bump a circuit's structural ``revision``, so caches derived from gate
+#: state — the IR program's structural signature, its parameter-slot
+#: list — key their entries on this counter instead of re-walking the
+#: op tree per call.
 _MUTATION_EPOCH = 0
 
 
@@ -57,9 +60,10 @@ def mutation_epoch() -> int:
 def bump_mutation_epoch() -> None:
     """Record an in-place mutation of some circuit element.
 
-    Called by every setter that changes an op's simulation semantics
-    without a structural circuit edit; conservatively invalidates every
-    epoch-keyed cache in the process.
+    Called by the ``qubit`` setters and the in-place ``fuse`` methods,
+    which change an op's simulation semantics without a structural
+    circuit edit; conservatively invalidates every epoch-keyed cache in
+    the process.
     """
     global _MUTATION_EPOCH
     _MUTATION_EPOCH += 1

@@ -4,14 +4,16 @@ two-qubit coupling rotations RotationXX/YY/ZZ.
 All rotation gates store their parameter as a numerically stable
 :class:`~repro.angle.QRotation` (cosine/sine of the half angle) and the
 phase gate as a :class:`~repro.angle.QAngle`; see :mod:`repro.angle` for
-why.  Rotation gates are *mutable handles*: :meth:`RotationGate1.fuse`
-merges a same-axis rotation into the receiver in place, mirroring
-QCLAB's fusion API used by its derived compilers.
+why.  An angle is fixed at construction: ``theta``, ``angle`` and
+``rotation`` are read-only, and a circuit built over a
+:class:`~repro.parameter.Parameter` slot changes its angles through
+``QCircuit.bind`` or ``sweep``.  The one in-place angle change is
+``fuse`` (e.g. :meth:`RotationGate1.fuse`), which merges a same-axis
+rotation or a phase into the receiver, mirroring QCLAB's fusion API
+used by its derived compilers.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from repro.gates.base import (
 )
 from repro.gates.qgate1 import QGate1
 from repro.parameter import Parameter, ParameterExpression, as_expression
-from repro.utils.validation import check_qubit, check_qubits
+from repro.utils.validation import check_qubits
 
 __all__ = [
     "Phase",
@@ -89,19 +91,6 @@ def _add_symbolic(a, b) -> ParameterExpression:
     return eb + a.theta
 
 
-def _warn_theta_mutation(stacklevel: int = 4) -> None:
-    """The deprecation shim for the in-place sweep idiom."""
-    bump_mutation_epoch()
-    warnings.warn(
-        "mutating gate.theta in place as a sweep idiom is deprecated; "
-        "build the circuit over a repro.Parameter slot and evaluate it "
-        "with QCircuit.bind(values) or sweep(values) — no recompile per "
-        "point",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
 class Phase(QGate1):
     """The phase gate ``P(theta) = diag(1, e^{i theta})``.
 
@@ -153,26 +142,11 @@ class Phase(QGate1):
         self._require_bound("angle")
         return self._angle
 
-    @angle.setter
-    def angle(self, value) -> None:
-        bump_mutation_epoch()
-        self._angle = _as_angle(value)
-
     @property
     def theta(self) -> float:
         """The phase angle in radians."""
         self._require_bound("theta")
         return self._angle.theta
-
-    @theta.setter
-    def theta(self, value: float) -> None:
-        self._set_theta(value)
-
-    def _set_theta(self, value: float) -> None:
-        """Deprecated in-place mutation shim shared with the controlled
-        wrappers (keeps the warning pointing at the user's call site)."""
-        _warn_theta_mutation()
-        self._angle = QAngle(float(value))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -306,26 +280,11 @@ class RotationGate1(QGate1):
         self._require_bound("rotation")
         return self._rotation
 
-    @rotation.setter
-    def rotation(self, value) -> None:
-        bump_mutation_epoch()
-        self._rotation = _as_rotation(value)
-
     @property
     def theta(self) -> float:
         """The rotation angle in radians."""
         self._require_bound("theta")
         return self._rotation.theta
-
-    @theta.setter
-    def theta(self, value: float) -> None:
-        self._set_theta(value)
-
-    def _set_theta(self, value: float) -> None:
-        """Deprecated in-place mutation shim shared with the controlled
-        wrappers (keeps the warning pointing at the user's call site)."""
-        _warn_theta_mutation()
-        self._rotation = QRotation(float(value))
 
     @property
     def cos(self) -> float:
@@ -686,26 +645,11 @@ class RotationGate2(QGate):
         self._require_bound("rotation")
         return self._rotation
 
-    @rotation.setter
-    def rotation(self, value) -> None:
-        bump_mutation_epoch()
-        self._rotation = _as_rotation(value)
-
     @property
     def theta(self) -> float:
         """The rotation angle in radians."""
         self._require_bound("theta")
         return self._rotation.theta
-
-    @theta.setter
-    def theta(self, value: float) -> None:
-        self._set_theta(value)
-
-    def _set_theta(self, value: float) -> None:
-        """Deprecated in-place mutation shim shared with the controlled
-        wrappers (keeps the warning pointing at the user's call site)."""
-        _warn_theta_mutation()
-        self._rotation = QRotation(float(value))
 
     @property
     def is_fixed(self) -> bool:

@@ -101,10 +101,6 @@ class CPhase(ControlledGate1):
         """The phase angle in radians."""
         return self.gate.theta
 
-    @theta.setter
-    def theta(self, value: float) -> None:
-        self.gate._set_theta(value)
-
     @property
     def angle(self):
         """The phase angle as a :class:`~repro.angle.QAngle`."""
@@ -144,10 +140,6 @@ class _CRotation(ControlledGate1):
     def theta(self) -> float:
         """The rotation angle in radians."""
         return self.gate.theta
-
-    @theta.setter
-    def theta(self, value: float) -> None:
-        self.gate._set_theta(value)
 
     @property
     def rotation(self):

@@ -252,8 +252,9 @@ class IRProgram:
         first-appearance order (blocks walked recursively).
 
         Cached per :func:`~repro.gates.base.mutation_epoch` — a pushed
-        gate can become concrete in place (the deprecated ``theta``
-        setter), which bumps the epoch and invalidates the cache."""
+        gate can take on a slot in place (an in-place ``fuse`` with a
+        symbolic gate), which bumps the epoch and invalidates the
+        cache."""
         from repro.gates.base import mutation_epoch
         from repro.ir.lower import lower
 
@@ -281,13 +282,14 @@ class IRProgram:
 
         Equal signatures guarantee identical semantics.  The program is
         immutable but the *gates* it points at are mutable handles, so
-        the result cannot be cached unconditionally: every in-place
-        mutation path (angle/qubit setters, in-place ``fuse``) bumps
-        the global :func:`~repro.gates.base.mutation_epoch`, and the
-        walk is recomputed whenever the epoch moved — the plan cache
-        and the pass-pipeline cache still notice parameter mutations,
-        while signature-stable workloads (parametric ``bind()`` loops)
-        pay the walk once."""
+        the result cannot be cached unconditionally: the two in-place
+        mutation paths (the ``qubit`` setters behind ``setQubit`` and
+        the in-place ``fuse`` of the parametric gates) bump the global
+        :func:`~repro.gates.base.mutation_epoch`, and the walk is
+        recomputed whenever the epoch moved — the plan cache and the
+        pass-pipeline cache still notice those mutations, while
+        signature-stable workloads (parametric ``bind()`` loops) pay
+        the walk once."""
         from repro.gates.base import mutation_epoch
 
         epoch = mutation_epoch()

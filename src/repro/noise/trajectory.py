@@ -40,7 +40,10 @@ from repro.observability.instrument import (
     resolve_instrumentation,
 )
 from repro.observability.metrics import SHOTS_SAMPLED
-from repro.simulation.options import SimulationOptions
+from repro.simulation.options import (
+    SimulationOptions,
+    resolve_simulation_options,
+)
 
 __all__ = [
     "TrajectoryResult",
@@ -82,18 +85,6 @@ class BatchedTrajectoryResult:
         return dict(sorted(Counter(self.results).items()))
 
 
-def _resolve_options(options, backend):
-    if options is None:
-        opts = SimulationOptions()
-    elif isinstance(options, SimulationOptions):
-        opts = options
-    else:
-        opts = SimulationOptions(**options)
-    if backend is not None:
-        opts = opts.replace(backend=backend)
-    return opts
-
-
 def run_trajectory(
     circuit,
     noise: Optional[NoiseModel] = None,
@@ -129,12 +120,15 @@ def run_trajectory(
 
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
+    opts = resolve_simulation_options(options)
+    if backend is not None:
+        opts = opts.replace(backend=backend)
     job = default_executor().submit(
         ExecutionRequest(
             circuit,
             kind=TRAJECTORY,
             start=start,
-            options=_resolve_options(options, backend),
+            options=opts,
             seed=rng,
             noise=noise,
             channels=_channels,
@@ -185,12 +179,15 @@ def run_trajectories_batched(
         if isinstance(seed, np.random.Generator)
         else np.random.default_rng(seed)
     )
+    opts = resolve_simulation_options(options)
+    if backend is not None:
+        opts = opts.replace(backend=backend)
     job = default_executor().submit(
         ExecutionRequest(
             circuit,
             kind=TRAJECTORY_BATCH,
             start=start,
-            options=_resolve_options(options, backend),
+            options=opts,
             seed=rng,
             noise=noise,
             shots=int(shots),
@@ -224,7 +221,9 @@ def noisy_counts(
         if isinstance(seed, np.random.Generator)
         else np.random.default_rng(seed)
     )
-    opts = _resolve_options(options, backend)
+    opts = resolve_simulation_options(options)
+    if backend is not None:
+        opts = opts.replace(backend=backend)
     inst = resolve_instrumentation(opts.trace, opts.metrics)
     if inst.enabled:
         # share this run's tracer/registry with the batched engine

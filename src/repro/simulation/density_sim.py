@@ -98,12 +98,6 @@ def simulate_density(
     start=None,
     noise: Optional[NoiseModel] = None,
     options: Optional[SimulationOptions] = None,
-    *,
-    backend=None,
-    atol: Optional[float] = None,
-    dtype=None,
-    seed=None,
-    fuse: Optional[bool] = None,
 ) -> DensitySimulation:
     """Exact (noisy) density-matrix simulation of a circuit.
 
@@ -119,10 +113,9 @@ def simulate_density(
         **exactly** (full Kraus sums), readout errors mix branch
         probabilities classically.
     options:
-        A :class:`~repro.simulation.SimulationOptions` — the same
-        object every simulation entry point accepts.  The historical
-        ``backend``/``atol`` keywords keep working through a
-        :class:`DeprecationWarning` shim.
+        A :class:`~repro.simulation.SimulationOptions` (or a dict of
+        its fields) — the same object every simulation entry point
+        accepts.
 
     The request executes through the shared
     :class:`~repro.execution.Executor` pipeline: the circuit compiles
@@ -134,17 +127,7 @@ def simulate_density(
     from repro.execution.executor import default_executor
     from repro.execution.request import DENSITY, ExecutionRequest
 
-    opts = resolve_simulation_options(
-        options,
-        {
-            "backend": backend,
-            "atol": atol,
-            "dtype": dtype,
-            "seed": seed,
-            "fuse": fuse,
-        },
-        caller="simulate_density",
-    )
+    opts = resolve_simulation_options(options)
     job = default_executor().submit(
         ExecutionRequest(
             circuit,

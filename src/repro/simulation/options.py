@@ -3,21 +3,19 @@
 Every simulation entry point — :func:`repro.simulation.simulate`,
 :meth:`repro.circuit.QCircuit.simulate` and
 :func:`repro.simulation.simulate_density` — accepts the same options
-object through the keyword-only ``options=`` argument::
+object through the ``options=`` argument::
 
     opts = SimulationOptions(backend='sparse', atol=1e-10)
     circuit.simulate('00', options=opts)
 
-The historical per-function keywords (``backend=``, ``atol=``,
-``dtype=`` passed directly) keep working through a shim that emits
-:class:`DeprecationWarning`; they are resolved into a
-:class:`SimulationOptions` by :func:`resolve_simulation_options`.
+``options=`` is the only way to configure a run; a plain dict of
+fields is accepted too and turned into a :class:`SimulationOptions`
+by :func:`resolve_simulation_options`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -132,46 +130,16 @@ class SimulationOptions:
 
 def resolve_simulation_options(
     options: Optional[SimulationOptions],
-    legacy_kwargs: Optional[dict] = None,
-    caller: str = "simulate",
-    stacklevel: int = 3,
 ) -> SimulationOptions:
-    """Merge new-style ``options`` with legacy keyword forms.
-
-    ``legacy_kwargs`` are explicitly-passed old keywords (values of
-    ``None`` mean "not given").  Without ``options`` they resolve onto
-    a :class:`SimulationOptions` and emit a single
-    :class:`DeprecationWarning`; with ``options`` also provided,
-    explicit keywords silently override the options object (the
-    supported new-style idiom).
-
-    ``stacklevel`` must make the warning point at the *user's* call
-    site: the default 3 skips this function plus one driver frame
-    (``simulate``/``simulate_density``); wrappers that add a frame
-    (``QCircuit.simulate``) pass one more.  Getting this right is what
-    makes Python's default once-per-location filter deduplicate the
-    warning per call site instead of per library line.
-    """
-    legacy_kwargs = {
-        k: v for k, v in (legacy_kwargs or {}).items() if v is not None
-    }
-    if legacy_kwargs and options is None:
-        names = ", ".join(sorted(legacy_kwargs))
-        warnings.warn(
-            f"the {names} keyword(s) of {caller}() are deprecated; pass "
-            "options=SimulationOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    base = options if options is not None else SimulationOptions()
-    if not isinstance(base, SimulationOptions):
-        if isinstance(base, dict):
-            base = SimulationOptions(**base)
-        else:
-            raise SimulationError(
-                "options must be a SimulationOptions (or dict), got "
-                f"{type(base).__name__}"
-            )
-    if legacy_kwargs:
-        base = base.replace(**legacy_kwargs)
-    return base
+    """``options`` as a :class:`SimulationOptions`: ``None`` gives the
+    defaults and a dict is taken as its fields."""
+    if options is None:
+        return SimulationOptions()
+    if isinstance(options, SimulationOptions):
+        return options
+    if isinstance(options, dict):
+        return SimulationOptions(**options)
+    raise SimulationError(
+        "options must be a SimulationOptions (or dict), got "
+        f"{type(options).__name__}"
+    )

@@ -26,7 +26,6 @@ in :mod:`repro.execution.dispatch`.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional
 
 import numpy as np
@@ -60,8 +59,7 @@ class Simulation:
 
     Simulations come from :func:`simulate` /
     :meth:`~repro.circuit.QCircuit.simulate` (or, one level down, from
-    a finished :class:`~repro.execution.Job`); constructing one by hand
-    is deprecated.
+    a finished :class:`~repro.execution.Job`).
     """
 
     def __init__(
@@ -76,37 +74,6 @@ class Simulation:
         seed=None,
         instrumentation=None,
     ):
-        warnings.warn(
-            "constructing Simulation(...) directly is deprecated; "
-            "simulations are produced by simulate() / "
-            "QCircuit.simulate() (or Executor.submit(...).result())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._init(
-            nb_qubits,
-            branches,
-            measurements,
-            end_measured,
-            backend_name,
-            engine=engine,
-            stats=stats,
-            seed=seed,
-            instrumentation=instrumentation,
-        )
-
-    def _init(
-        self,
-        nb_qubits,
-        branches,
-        measurements,
-        end_measured,
-        backend_name,
-        engine=None,
-        stats=None,
-        seed=None,
-        instrumentation=None,
-    ):
         self._nb_qubits = nb_qubits
         self._branches = branches
         self._measurements = measurements  # [(qubit, Measurement)] recorded
@@ -116,35 +83,6 @@ class Simulation:
         self._stats = stats
         self._seed = seed
         self._instrumentation = instrumentation
-
-    @classmethod
-    def _from_run(
-        cls,
-        nb_qubits,
-        branches,
-        measurements,
-        end_measured,
-        backend_name,
-        engine=None,
-        stats=None,
-        seed=None,
-        instrumentation=None,
-    ) -> "Simulation":
-        """Internal constructor used by the executor pipelines —
-        bypasses the deprecation shim on :meth:`__init__`."""
-        sim = object.__new__(cls)
-        sim._init(
-            nb_qubits,
-            branches,
-            measurements,
-            end_measured,
-            backend_name,
-            engine=engine,
-            stats=stats,
-            seed=seed,
-            instrumentation=instrumentation,
-        )
-        return sim
 
     # -- basic accessors ----------------------------------------------------
 
@@ -373,13 +311,6 @@ def simulate(
     circuit,
     start="0",
     options: Optional[SimulationOptions] = None,
-    *,
-    backend=None,
-    atol: Optional[float] = None,
-    dtype=None,
-    seed=None,
-    fuse: Optional[bool] = None,
-    _stacklevel: int = 3,
 ):
     """Simulate a :class:`~repro.circuit.QCircuit`.
 
@@ -390,16 +321,10 @@ def simulate(
     :class:`Simulation` from the finished job — compilation, dispatch
     and instrumentation all happen inside the executor pipeline.
 
-    Configuration lives in ``options``
-    (:class:`~repro.simulation.SimulationOptions`); the historical
-    ``backend``/``atol``/``dtype`` keywords keep working through a
-    :class:`DeprecationWarning` shim.  See
-    :meth:`repro.circuit.QCircuit.simulate` for the parameters; this is
-    the underlying free function.
-
-    ``_stacklevel`` is internal: wrappers that add a call frame (the
-    ``QCircuit.simulate`` method) bump it so deprecation warnings point
-    at the user's call site, firing once per call site.
+    All configuration lives in ``options``
+    (:class:`~repro.simulation.SimulationOptions` or a dict of its
+    fields).  See :meth:`repro.circuit.QCircuit.simulate` for the
+    parameters; this is the underlying free function.
 
     Parametric circuits simulate through their bound view: pass a
     :class:`~repro.circuit.bound.BoundCircuit` (from
@@ -419,18 +344,7 @@ def simulate(
     if isinstance(circuit, BoundCircuit):
         param_values = circuit.values
         circuit = circuit.base
-    opts = resolve_simulation_options(
-        options,
-        {
-            "backend": backend,
-            "atol": atol,
-            "dtype": dtype,
-            "seed": seed,
-            "fuse": fuse,
-        },
-        caller="simulate",
-        stacklevel=_stacklevel,
-    )
+    opts = resolve_simulation_options(options)
     job = default_executor().submit(
         ExecutionRequest(
             circuit,

@@ -14,11 +14,10 @@ class TestCountsGuards:
         state = np.array([1.0 + 0j])
         branches = [Branch(1.0, state, "0" * nb_measurements)]
         measurements = [(0, Measurement(0))] * nb_measurements
-        return Simulation._from_run(1, branches, measurements, {}, "kernel")
+        return Simulation(1, branches, measurements, {}, "kernel")
 
-    def test_direct_constructor_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            sim = Simulation(1, [], [], {}, "kernel")
+    def test_direct_constructor(self):
+        sim = Simulation(1, [], [], {}, "kernel")
         assert sim.nbBranches == 0
 
     def test_counts_refuses_huge_vectors(self):

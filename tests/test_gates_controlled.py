@@ -132,10 +132,8 @@ class TestCPhase:
     def test_theta_accessors(self):
         g = CPhase(0, 1, 0.4)
         assert g.theta == pytest.approx(0.4)
-        with pytest.warns(DeprecationWarning):
-            g.theta = 0.9
-        assert g.theta == pytest.approx(0.9)
-        assert g.angle.theta == pytest.approx(0.9)
+        assert g.angle.theta == pytest.approx(0.4)
+        assert g.gate.theta == pytest.approx(0.4)
 
     def test_ctranspose(self):
         g = CPhase(0, 1, 0.6, control_state=0)
@@ -176,10 +174,11 @@ class TestControlledRotations:
         )
 
     def test_theta_setter(self):
+        # the wrapped rotation is value-immutable, so is the wrapper
         g = CRotationX(0, 1, 0.4)
-        with pytest.warns(DeprecationWarning):
+        with pytest.raises(AttributeError):
             g.theta = 0.5
-        assert g.rotation.theta == pytest.approx(0.5)
+        assert g.rotation.theta == pytest.approx(0.4)
 
 
 class TestGenericControlled:

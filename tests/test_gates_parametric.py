@@ -45,11 +45,12 @@ class TestPhase:
         assert Phase(0, QAngle(0.7)).theta == pytest.approx(0.7)
 
     def test_theta_setter(self):
-        p = Phase(0)
-        with pytest.warns(DeprecationWarning):
+        # value-immutable: the angle changes only through fuse/bind
+        p = Phase(0, 0.4)
+        with pytest.raises(AttributeError):
             p.theta = 1.3
-        assert p.theta == pytest.approx(1.3)
-        p.angle = QAngle(0.4)
+        with pytest.raises(AttributeError):
+            p.angle = QAngle(1.3)
         assert p.theta == pytest.approx(0.4)
 
     def test_fuse(self):
@@ -107,14 +108,15 @@ class TestRotations1Q:
             np.testing.assert_allclose(r.matrix, r1.matrix, atol=1e-15)
 
     def test_theta_setter_and_accessors(self):
-        r = RotationY(0)
-        assert r.theta == 0.0
-        with pytest.warns(DeprecationWarning):
-            r.theta = 0.6
+        assert RotationY(0).theta == 0.0
+        r = RotationY(0, 0.6)
+        with pytest.raises(AttributeError):
+            r.theta = 0.2
+        with pytest.raises(AttributeError):
+            r.rotation = QRotation(0.2)
         assert r.cos == pytest.approx(math.cos(0.3))
         assert r.sin == pytest.approx(math.sin(0.3))
-        r.rotation = QRotation(0.2)
-        assert r.theta == pytest.approx(0.2)
+        assert r.rotation.theta == pytest.approx(0.6)
         assert r.axis == "y"
 
     @given(angles, angles)
@@ -228,11 +230,11 @@ class TestRotations2Q:
 
     def test_theta_setter(self):
         g = RotationXX(0, 1, 0.1)
-        with pytest.warns(DeprecationWarning):
+        with pytest.raises(AttributeError):
             g.theta = 0.9
-        assert g.theta == pytest.approx(0.9)
-        g.rotation = QRotation(0.2)
-        assert g.theta == pytest.approx(0.2)
+        with pytest.raises(AttributeError):
+            g.rotation = QRotation(0.2)
+        assert g.theta == pytest.approx(0.1)
 
     def test_qasm(self):
         assert RotationZZ(2, 0, 0.5).toQASM() == "rzz(0.5) q[0],q[2];"

@@ -12,7 +12,6 @@ before the refactor.
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -54,7 +53,6 @@ from repro.observability.metrics import IR_PASS_RUNS
 from repro.simulation.plan import circuit_signature
 from repro.transforms import (
     circuits_equivalent,
-    flatten,
     gate_counts,
     optimize,
 )
@@ -219,15 +217,15 @@ class TestLoweringCache:
         assert p2 is not p1 and len(p2) == 2
 
     def test_parameter_mutation_reads_through_backpointer(self):
-        # gate parameter updates do NOT bump the revision counter, and
-        # do not need to: IR ops hold back-pointers, not copied kernels
+        # an in-place fuse does NOT bump the revision counter, and
+        # does not need to: IR ops hold back-pointers, not copied kernels
         c = QCircuit(1)
         g = RotationX(0, 0.5)
         c.push_back(g)
         p1 = lower(c)
         k1 = p1[0].kernel().copy()
         sig1 = p1.signature()
-        g.rotation = 1.25
+        g.fuse(RotationX(0, 0.75))  # in place: 0.5 + 0.75
         p2 = lower(c)
         assert p2 is p1  # cache hit: structure unchanged
         assert not np.allclose(p2[0].kernel(), k1)
@@ -309,7 +307,7 @@ class TestPassManager:
             op for op, _ in lower(c).flat()
             if isinstance(op, (RotationX, RotationZ))
         )
-        rot.rotation = rot.rotation.theta + 0.1
+        rot.fuse(type(rot)(rot.qubit, 0.1))
         out2 = pm.run_on(c)
         assert out2 is not out1
 
@@ -352,20 +350,10 @@ class TestPassManager:
         assert isinstance(out, IRProgram)
 
 
-# -- circuit-level wrappers and deprecation (satellite) ----------------------
+# -- circuit-level wrappers -------------------------------------------------
 
 
 class TestTransformsWrappers:
-    def test_flatten_warns_on_nested_circuits_only(self):
-        nested = w.nested_circuit(True)
-        with pytest.warns(DeprecationWarning, match="repro.ir.lower"):
-            flat = flatten(nested)
-        assert len(flat) == 10
-        flat_in = w.bell_circuit(True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            flatten(flat_in)  # flat circuits stay warning-free
-
     def test_optimize_runs_through_ir(self):
         c = QCircuit(2)
         c.push_back(RotationX(0, 0.4))

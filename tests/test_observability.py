@@ -537,54 +537,10 @@ class TestOverheadGuard:
         )
 
 
-# -- deprecation shims under instrumentation ---------------------------------
+# -- instrumentation plumbing -------------------------------------------------
 
 
-class TestDeprecationShims:
-    def test_warning_points_at_caller(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            simulate(bell(), "00", backend="kernel")
-        (w,) = [x for x in caught if x.category is DeprecationWarning]
-        assert w.filename == __file__
-
-    def test_method_warning_points_at_caller(self):
-        # QCircuit.simulate adds a frame; stacklevel must skip it
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            bell().simulate("00", backend="kernel")
-        (w,) = [x for x in caught if x.category is DeprecationWarning]
-        assert w.filename == __file__
-
-    def test_counts_backend_warning_points_at_caller(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            bell().counts(10, start="00", seed=0, backend="kernel")
-        dep = [x for x in caught if x.category is DeprecationWarning]
-        assert len(dep) == 1
-        assert dep[0].filename == __file__
-
-    def test_fires_once_per_call_site(self):
-        # with the default once-per-location filter, a loop over one
-        # call site warns exactly once
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for _ in range(3):
-                bell().simulate("00", backend="kernel")
-        dep = [x for x in caught if x.category is DeprecationWarning]
-        assert len(dep) == 1
-
-    def test_instrumented_runs_do_not_swallow_or_duplicate(self):
-        with instrument():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                simulate(bell(), "00", backend="kernel")
-            dep = [
-                x for x in caught if x.category is DeprecationWarning
-            ]
-            assert len(dep) == 1
-            assert dep[0].filename == __file__
-
+class TestInstrumentationPlumbing:
     def test_trace_options_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -594,11 +550,6 @@ class TestDeprecationShims:
                 options=SimulationOptions(trace=True, metrics=True),
             )
 
-
-# -- instrumentation plumbing -------------------------------------------------
-
-
-class TestInstrumentationPlumbing:
     def test_disabled_singleton_is_inert(self):
         from repro.observability import current_instrumentation
 

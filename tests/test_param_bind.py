@@ -5,11 +5,9 @@ constructors, :class:`~repro.parameter.Parameter` expression algebra,
 ``QCircuit.bind`` / ``QCircuit.sweep`` differential equality against
 recompile-per-point across every statevector backend, the plan-cache
 guarantee (zero recompiles across a 100-point sweep of a fixed ansatz),
-symbolic pass semantics, the deprecation of in-place ``gate.theta``
-mutation, and the conformance generator's parametric mode.
+symbolic pass semantics, and the conformance generator's parametric
+mode.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -379,31 +377,6 @@ class TestSymbolicPasses:
         ref = QCircuit(1)
         ref.push_back(RotationY(0, 0.8))
         assert np.allclose(got, ref.simulate("0").states[0])
-
-
-# -- deprecation of in-place theta mutation ----------------------------------
-
-
-class TestThetaDeprecation:
-    def test_setter_warns_and_still_works(self):
-        g = RotationX(0, 0.1)
-        with pytest.warns(DeprecationWarning, match="bind"):
-            g.theta = 0.9
-        assert g.theta == pytest.approx(0.9)
-
-    def test_controlled_setter_warns(self):
-        g = CRotationZ(0, 1, 0.1)
-        with pytest.warns(DeprecationWarning):
-            g.theta = 0.9
-        assert g.theta == pytest.approx(0.9)
-
-    def test_bind_emits_no_warning(self):
-        p = Parameter("t")
-        c = QCircuit(1)
-        c.push_back(RotationX(0, p))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            c.bind({p: 0.5}).simulate("0")
 
 
 # -- VQE integration ---------------------------------------------------------

@@ -1,11 +1,9 @@
 """Compiled execution plans: caching, invalidation, fusion, options.
 
 Covers the compile-then-execute layer (:mod:`repro.simulation.plan`),
-the unified :class:`SimulationOptions` API with its deprecation shims,
-and the public backend registry.
+the unified :class:`SimulationOptions` API and the public backend
+registry.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -116,8 +114,7 @@ class TestPlanCache:
         c.push_back(ry)
         sig1 = circuit_signature(c)
         c.simulate("0")
-        with pytest.warns(DeprecationWarning):
-            ry.theta = 1.5
+        ry.fuse(RotationY(0, 1.0))  # in place: 0.5 + 1.0
         assert circuit_signature(c) != sig1
         s = c.simulate("0")
         assert not s.stats.cache_hit
@@ -339,33 +336,13 @@ class TestSimulationOptions:
         s = simulate(bell(), "00", options={"backend": "sparse"})
         assert s.backend == "sparse"
 
-    def test_legacy_keyword_warns(self):
-        with pytest.warns(DeprecationWarning):
-            s = simulate(bell(), "00", backend="sparse")
-        assert s.backend == "sparse"
-
     def test_positional_backend_rejected(self):
-        # the third positional slot is ``options``; backend/atol/dtype
-        # are keyword-only
+        # the third positional slot is ``options`` and there is no
+        # fourth; every setting goes through ``options``
         with pytest.raises(SimulationError):
             simulate(bell(), "00", "sparse")
         with pytest.raises(TypeError):
             simulate(bell(), "00", None, "sparse")
-
-    def test_override_with_options_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            s = simulate(
-                bell(),
-                "00",
-                options=SimulationOptions(),
-                backend="sparse",
-            )
-        assert s.backend == "sparse"
-
-    def test_density_legacy_keyword_warns(self):
-        with pytest.warns(DeprecationWarning):
-            simulate_density(bell(), noise=None, backend="sparse")
 
     def test_all_entry_points_share_keywords(self):
         opts = SimulationOptions(backend="sparse", atol=1e-10)

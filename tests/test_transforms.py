@@ -49,8 +49,7 @@ class TestFlatten:
         outer = QCircuit(3)
         outer.push_back(Hadamard(0))
         outer.push_back(sub)
-        with pytest.warns(DeprecationWarning):
-            flat = flatten(outer)
+        flat = flatten(outer)
         assert len(flat) == 2
         assert flat[1].qubits == (1, 2)
         np.testing.assert_allclose(flat.matrix, outer.matrix)
@@ -60,9 +59,10 @@ class TestFlatten:
         rx = RotationX(0, 0.5)
         c.push_back(rx)
         flat = flatten(c)
-        with pytest.warns(DeprecationWarning):
-            flat[0].theta = 1.0
+        flat[0].fuse(RotationX(0, 0.5))
+        flat[0].setQubit(1)
         assert rx.theta == pytest.approx(0.5)
+        assert rx.qubit == 0
 
     def test_gate_counts(self):
         c = QCircuit(2)
