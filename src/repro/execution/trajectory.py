@@ -33,7 +33,6 @@ from typing import List
 import numpy as np
 
 from repro.circuit.measurement import Measurement
-from repro.exceptions import SimulationError
 from repro.execution.dispatch import KRAUS, step_kind, step_meter
 from repro.simulation.plan import GATE, MEASURE, get_plan
 from repro.simulation.state import initial_state
@@ -52,6 +51,8 @@ __all__ = [
 BATCH_TARGET_ELEMS = 1 << 22
 #: ... and never wider than this many rows.
 BATCH_MAX_ROWS = 4096
+
+_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
 
 class CountingRNG:
@@ -116,11 +117,8 @@ def draws_per_shot(plan, channels: dict, noise) -> int:
     readout = 1 if noise.readout_error > 0.0 else 0
     for step in plan.steps:
         if step.kind == GATE:
-            channel = (
-                channels.get(type(step.op))
-                if step.op is not None
-                else None
-            )
+            # fused steps carry no op: type(None) maps to no channel
+            channel = channels.get(type(step.op))
             if channel is not None and len(channel.kraus) > 1:
                 draws += len(step.noise_qubits)
         elif step.kind == MEASURE:
@@ -130,44 +128,79 @@ def draws_per_shot(plan, channels: dict, noise) -> int:
     return draws
 
 
-# -- the serial engine -------------------------------------------------------
+# -- stochastic steps, shared by both engines --------------------------------
+#
+# Both act on a ``(B, dim)`` batch; the serial engine passes its state
+# as one row, so a row's arithmetic is the same in both engines.
 
 
-def _apply_kraus(engine, state, kraus, qubit, nb_qubits, rng):
-    """Select and apply one Kraus operator (Monte-Carlo branch)."""
-    if len(kraus) == 1:
-        out = engine.apply(state, kraus[0], [qubit], nb_qubits)
-        norm = np.linalg.norm(out)
-        return out / norm
-    r = float(rng.random())
-    acc = 0.0
-    for k in kraus:
-        candidate = engine.apply(state.copy(), k, [qubit], nb_qubits)
-        p = float(np.linalg.norm(candidate) ** 2)
-        acc += p
-        if r < acc or k is kraus[-1]:
-            if p <= 1e-300:
-                continue  # zero-probability op; keep scanning
-            return candidate / np.sqrt(p)
-    raise SimulationError("Kraus sampling failed to select an operator")
+def _apply_channel(engine, states, channel, qubit, nb_qubits, r):
+    """Monte-Carlo Kraus branch over a ``(B, dim)`` batch.
+
+    ``r`` holds one uniform per row, ``None`` for a single-operator
+    channel (no draw; its operator is applied and renormalized).  Each
+    branch :meth:`NoiseChannel.select` picks is applied to its rows
+    only, so identity rows stay untouched.  Returns ``(states, nbytes)``.
+    """
+    if r is None:
+        out = engine.apply_batched(states, channel.kraus[0], [qubit],
+                                   nb_qubits)
+        out /= np.linalg.norm(out, axis=1)[:, None]
+        return out, 2 * out.nbytes
+    index, branches, probs = channel.select(states, qubit, r)
+    nbytes = 0 if probs is None else states.nbytes
+    for i in np.flatnonzero(np.bincount(index, minlength=len(branches))):
+        op = branches[i]
+        if op is None:
+            continue
+        rows = np.flatnonzero(index == i)
+        picked = engine.apply_batched(states[rows], op, [qubit], nb_qubits)
+        if probs is not None:
+            picked *= (1.0 / np.sqrt(probs[rows, i]))[:, None]
+        states[rows] = picked
+        nbytes += 2 * picked.nbytes
+    return states, nbytes
 
 
-def _sample_measurement(engine, state, meas, qubit, nb_qubits, rng):
-    """Collapse one measurement randomly; returns (outcome, state)."""
+def _sample_measurement(engine, states, meas, qubit, nb_qubits, r):
+    """Collapse one measurement across the batch; returns
+    ``(outcomes, states)`` with ``outcomes`` a ``(B,)`` int array."""
     if meas.basis != "z":
-        state = engine.apply(state, meas.basis_change, [qubit], nb_qubits)
-    left = 1 << qubit
-    view = state.reshape(left, 2, -1)
-    p1 = float(np.sum(np.abs(view[:, 1, :]) ** 2))
-    outcome = 1 if rng.random() < p1 else 0
-    prob = p1 if outcome == 1 else 1.0 - p1
-    view[:, 1 - outcome, :] = 0.0
-    state = state * (1.0 / np.sqrt(prob))
-    if meas.basis != "z":
-        state = engine.apply(
-            state, meas.basis_change_dagger, [qubit], nb_qubits
+        states = engine.apply_batched(
+            states, meas.basis_change, [qubit], nb_qubits
         )
-    return outcome, state
+    batch = states.shape[0]
+    left = 1 << qubit
+    view = states.reshape(batch, left, 2, -1)
+    p1 = np.sum(np.abs(view[:, :, 1, :]) ** 2, axis=(1, 2))
+    outcomes = (r < p1).astype(np.int64)
+    ones = outcomes.astype(bool)
+    view[ones, :, 0, :] = 0.0
+    view[~ones, :, 1, :] = 0.0
+    prob = np.where(ones, p1, 1.0 - p1)
+    states *= (1.0 / np.sqrt(prob))[:, None]
+    if meas.basis != "z":
+        states = engine.apply_batched(
+            states, meas.basis_change_dagger, [qubit], nb_qubits
+        )
+    return outcomes, states
+
+
+def _reset(engine, states, qubit, nb_qubits, r):
+    """Measure ``qubit`` across the batch and flip the rows that read
+    1 back to ``|0>``; returns ``(outcomes, states)``."""
+    outcomes, states = _sample_measurement(
+        engine, states, Measurement(qubit), qubit, nb_qubits, r
+    )
+    ones = np.flatnonzero(outcomes)
+    if len(ones):
+        states[ones] = engine.apply_batched(
+            states[ones], _X, [qubit], nb_qubits
+        )
+    return outcomes, states
+
+
+# -- the serial engine -------------------------------------------------------
 
 
 def run_trajectory_plan(plan, channels, noise, start, rng, inst=None):
@@ -199,29 +232,27 @@ def run_trajectory_plan(plan, channels, noise, start, rng, inst=None):
                     step_kind(step), 1,
                     engine.planned_bytes(step, state, nb_qubits), dt,
                 )
-            channel = (
-                channels.get(type(step.op))
-                if step.op is not None
-                else None
-            )
+            channel = channels.get(type(step.op))
             if channel is not None:
+                needs_draw = len(channel.kraus) > 1
                 for q in step.noise_qubits:
                     if meter is not None:
                         t0 = perf_counter()
-                    state = _apply_kraus(
-                        engine, state, channel.kraus, q, nb_qubits, rng
+                    r = np.array([rng.random()]) if needs_draw else None
+                    rows, nbytes = _apply_channel(
+                        engine, state[None, :], channel, q, nb_qubits, r
                     )
+                    state = rows[0]
                     if meter is not None:
                         dt = perf_counter() - t0
-                        meter.kernel(
-                            KRAUS, 1,
-                            2 * len(channel.kraus) * state.nbytes, dt,
-                        )
+                        meter.kernel(KRAUS, 1, nbytes, dt)
             continue
         if step.kind == MEASURE:
-            outcome, state = _sample_measurement(
-                engine, state, step.op, step.qubit, nb_qubits, rng
+            outcome, rows = _sample_measurement(
+                engine, state[None, :], step.op, step.qubit, nb_qubits,
+                np.array([rng.random()]),
             )
+            outcome, state = int(outcome[0]), rows[0]
             if noise.readout_error > 0.0 and (
                 rng.random() < noise.readout_error
             ):
@@ -231,16 +262,11 @@ def run_trajectory_plan(plan, channels, noise, start, rng, inst=None):
                 meter.collapse("measure", perf_counter() - t0)
             continue
         # RESET
-        meas = Measurement(step.op.qubit)
-        outcome, state = _sample_measurement(
-            engine, state, meas, step.qubit, nb_qubits, rng
+        outcome, rows = _reset(
+            engine, state[None, :], step.qubit, nb_qubits,
+            np.array([rng.random()]),
         )
-        if outcome == 1:
-            from repro.gates import PauliX
-
-            state = engine.apply(
-                state, PauliX(0).matrix, [step.qubit], nb_qubits
-            )
+        outcome, state = int(outcome[0]), rows[0]
         if step.op.record:
             outcomes.append(str(outcome))
         if meter is not None:
@@ -252,63 +278,6 @@ def run_trajectory_plan(plan, channels, noise, start, rng, inst=None):
 
 
 # -- the batched engine ------------------------------------------------------
-
-
-def _apply_kraus_batched(engine, states, kraus, qubit, nb_qubits, r):
-    """Vectorized Monte-Carlo Kraus branch over a ``(B, dim)`` batch.
-
-    ``r`` is one uniform variate per row (``None`` for single-operator
-    channels, which draw nothing).  Selection replays the serial
-    scan — first operator with cumulative probability past ``r`` (or
-    the last), skipping zero-probability branches — via boolean masks.
-    """
-    if len(kraus) == 1:
-        out = engine.apply_batched(states, kraus[0], [qubit], nb_qubits)
-        norms = np.linalg.norm(out, axis=1)
-        out /= norms[:, None]
-        return out
-    batch = states.shape[0]
-    acc = np.zeros(batch)
-    assigned = np.zeros(batch, dtype=bool)
-    out = np.empty_like(states)
-    last = len(kraus) - 1
-    for i, k in enumerate(kraus):
-        candidate = engine.apply_batched(
-            states.copy(), k, [qubit], nb_qubits
-        )
-        p = np.linalg.norm(candidate, axis=1) ** 2
-        acc += p
-        sel = ~assigned & ((r < acc) | (i == last)) & (p > 1e-300)
-        if sel.any():
-            out[sel] = candidate[sel] / np.sqrt(p[sel])[:, None]
-            assigned |= sel
-    if not assigned.all():
-        raise SimulationError("Kraus sampling failed to select an operator")
-    return out
-
-
-def _sample_measurement_batched(engine, states, meas, qubit, nb_qubits, r):
-    """Collapse one measurement across the batch; returns
-    ``(outcomes, states)`` with ``outcomes`` a ``(B,)`` int array."""
-    if meas.basis != "z":
-        states = engine.apply_batched(
-            states, meas.basis_change, [qubit], nb_qubits
-        )
-    batch = states.shape[0]
-    left = 1 << qubit
-    view = states.reshape(batch, left, 2, -1)
-    p1 = np.sum(np.abs(view[:, :, 1, :]) ** 2, axis=(1, 2))
-    outcomes = (r < p1).astype(np.int64)
-    ones = outcomes.astype(bool)
-    view[ones, :, 0, :] = 0.0
-    view[~ones, :, 1, :] = 0.0
-    prob = np.where(ones, p1, 1.0 - p1)
-    states *= (1.0 / np.sqrt(prob))[:, None]
-    if meas.basis != "z":
-        states = engine.apply_batched(
-            states, meas.basis_change_dagger, [qubit], nb_qubits
-        )
-    return outcomes, states
 
 
 def _bit_matrix_to_strings(columns: list, batch: int) -> List[str]:
@@ -340,7 +309,6 @@ def execute_batch(plan, channels, noise, start, draws, dtype, inst=None):
     states = np.tile(base, (batch, 1))
     col = 0
     recorded: list = []
-    x_kernel = None
     # double-buffered scratch pair: gate steps flip between `states`
     # and one spare (B, dim) array, so backends that write into `out`
     # allocate nothing per step.  Noise/measurement paths below may
@@ -365,14 +333,9 @@ def execute_batch(plan, channels, noise, start, draws, dtype, inst=None):
                     step_kind(step), batch,
                     engine.planned_bytes(step, states, nb_qubits), dt,
                 )
-            channel = (
-                channels.get(type(step.op))
-                if step.op is not None
-                else None
-            )
+            channel = channels.get(type(step.op))
             if channel is not None:
-                kraus = channel.kraus
-                needs_draw = len(kraus) > 1
+                needs_draw = len(channel.kraus) > 1
                 for q in step.noise_qubits:
                     if meter is not None:
                         t0 = perf_counter()
@@ -380,18 +343,15 @@ def execute_batch(plan, channels, noise, start, draws, dtype, inst=None):
                     if needs_draw:
                         r = draws[:, col]
                         col += 1
-                    states = _apply_kraus_batched(
-                        engine, states, kraus, q, nb_qubits, r
+                    states, nbytes = _apply_channel(
+                        engine, states, channel, q, nb_qubits, r
                     )
                     if meter is not None:
                         dt = perf_counter() - t0
-                        meter.kernel(
-                            KRAUS, batch,
-                            2 * len(kraus) * states.nbytes, dt,
-                        )
+                        meter.kernel(KRAUS, batch, nbytes, dt)
             continue
         if step.kind == MEASURE:
-            outcomes, states = _sample_measurement_batched(
+            outcomes, states = _sample_measurement(
                 engine, states, step.op, step.qubit, nb_qubits,
                 draws[:, col],
             )
@@ -405,21 +365,10 @@ def execute_batch(plan, channels, noise, start, draws, dtype, inst=None):
                 meter.collapse("measure", perf_counter() - t0)
             continue
         # RESET
-        meas = Measurement(step.op.qubit)
-        outcomes, states = _sample_measurement_batched(
-            engine, states, meas, step.qubit, nb_qubits, draws[:, col]
+        outcomes, states = _reset(
+            engine, states, step.qubit, nb_qubits, draws[:, col]
         )
         col += 1
-        ones = outcomes.astype(bool)
-        if ones.any():
-            if x_kernel is None:
-                from repro.gates import PauliX
-
-                x_kernel = PauliX(0).matrix
-            states[ones] = engine.apply_batched(
-                np.ascontiguousarray(states[ones]), x_kernel,
-                [step.qubit], nb_qubits,
-            )
         if step.op.record:
             recorded.append(outcomes)
         if meter is not None:

@@ -164,8 +164,6 @@ class IROp:
         equal signatures imply identical simulation semantics, so the
         plan cache and the pass-pipeline cache key off the per-op
         signatures (parameter mutations change them)."""
-        from repro.circuit.measurement import Measurement
-
         op, off = self.op, self.offset
         if self.kind == GATE:
             return op.signature(off)

@@ -3,8 +3,10 @@
 Every channel satisfies the completeness relation
 ``sum_i K_i^dagger K_i = I`` (validated at construction).  The
 trajectory simulator selects one Kraus operator per application with
-probability ``||K_i |psi>||^2``, which reproduces the channel exactly
-in expectation.
+probability ``tr(K_i^dagger K_i rho_q)`` (``rho_q`` the target's reduced
+density), which reproduces the channel exactly in expectation.  For a
+unitary mixture (the Pauli family) that probability is a constant
+``p_i``: selection reads no state and applies ``K_i / sqrt(p_i)``.
 """
 
 from __future__ import annotations
@@ -52,14 +54,29 @@ class NoiseChannel:
                 raise SimulationError(
                     f"Kraus operator of shape {k.shape}; expected (2, 2)"
                 )
-        total = sum(dagger(k) @ k for k in ops)
-        if not closeto(total, _I, atol=1e-10):
+        gram = np.stack([dagger(k) @ k for k in ops])
+        if not closeto(gram.sum(axis=0), _I, atol=1e-10):
             raise SimulationError(
                 "Kraus operators do not satisfy completeness "
                 "(sum K^dag K != I)"
             )
         self._kraus = ops
         self._name = str(name)
+        self._gram = gram
+        # a unitary mixture has K_i^dag K_i = p_i I (to 1e-12 relative to
+        # p_i): its branches are the unitaries K_i / sqrt(p_i)
+        weights = gram[:, 0, 0].real
+        self._cum = None
+        self._branches = ops
+        if all(closeto(m, w * _I, atol=1e-12 * w)
+               for m, w in zip(gram, weights)):
+            self._cum = np.cumsum(weights)
+            self._last = np.flatnonzero(weights)[-1]
+            self._branches = [
+                None if w == 0.0 or closeto(k / np.sqrt(w), _I)
+                else k / np.sqrt(w)
+                for k, w in zip(ops, weights)
+            ]
 
     @property
     def kraus(self) -> List[np.ndarray]:
@@ -70,6 +87,39 @@ class NoiseChannel:
     def name(self) -> str:
         """Channel name."""
         return self._name
+
+    @property
+    def is_unitary_mixture(self) -> bool:
+        """``True`` when every ``K_i^dagger K_i`` is a multiple of the
+        identity, i.e. branch probabilities do not depend on the state."""
+        return self._cum is not None
+
+    def select(self, states: np.ndarray, qubit: int, r: np.ndarray):
+        """Each row's branch of a ``(B, 2**n)`` batch on ``qubit``.
+
+        Row ``b`` takes the first branch whose cumulative probability
+        exceeds its uniform ``r[b]``, else the last possible one.
+        Returns ``(index, branches, probs)``.  A unitary mixture reads
+        no state: its branches are ``K_i / sqrt(p_i)`` (``None`` for
+        the identity and ``p_i = 0``) and ``probs`` is ``None``.  Else
+        the branches are ``K_i`` and ``probs`` the ``(B, m)`` row
+        probabilities, from one pass, that renormalize picked rows.
+        """
+        if self._cum is not None:
+            index = np.searchsorted(self._cum, r, side="right")
+            return np.minimum(index, self._last), self._branches, None
+        view = states.reshape(states.shape[0], 1 << qubit, 2, -1)
+        rho = np.einsum("blir,bljr->bij", view, view.conj())
+        probs = np.einsum("kij,bji->bk", self._gram, rho).real
+        probs[probs <= 1e-300] = 0.0
+        if not probs.any(axis=1).all():
+            raise SimulationError(
+                "Kraus sampling failed to select an operator"
+            )
+        cum = np.cumsum(probs, axis=1)
+        index = np.count_nonzero(cum <= r[:, None], axis=1)
+        last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
+        return np.minimum(index, last), self._branches, probs
 
     @property
     def is_identity(self) -> bool:

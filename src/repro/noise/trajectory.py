@@ -153,10 +153,11 @@ def run_trajectories_batched(
     ``options.batch_size`` rows (memory-aware default) and each batch
     executes as ONE ``(B, 2**n)`` array: every compiled plan step is
     applied once across the batch and the stochastic choices are
-    vectorized — Kraus selection via one uniform vector plus boolean
-    masks per operator, measurement collapse via per-row outcome
-    sampling and masked renormalization, readout error as a vectorized
-    bit flip.
+    vectorized — Kraus selection via one uniform per row and a
+    cumulative-probability scan, each branch applied only to the rows
+    that drew it (identity rows of a Pauli channel are not touched),
+    measurement collapse via per-row outcome sampling and masked
+    renormalization, readout error as a vectorized bit flip.
 
     With ``options.max_workers > 1`` the batches fan out over a
     process pool.  The parent draws every batch's randomness from the

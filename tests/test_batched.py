@@ -16,6 +16,7 @@ from repro.circuit import Measurement, QCircuit
 from repro.exceptions import SimulationError
 from repro.gates import Hadamard
 from repro.noise import (
+    AmplitudeDamping,
     BatchedTrajectoryResult,
     Depolarizing,
     NoiseModel,
@@ -122,6 +123,32 @@ class TestDifferential:
         for i in range(12):
             ref = run_trajectory(c, rng=rng)
             np.testing.assert_allclose(res.states[i], ref.state)
+
+
+class TestNoisyFinalStates:
+    """Noisy final states are bit-identical serial vs batched: both
+    engines select and apply Kraus branches through one shared path,
+    the serial state being a one-row batch."""
+
+    @pytest.mark.parametrize("batch_size", [1, 7, None])
+    @pytest.mark.parametrize(
+        "channel",
+        [Depolarizing(0.1), AmplitudeDamping(0.3)],
+        ids=["depolarizing", "amplitude-damping"],
+    )
+    @pytest.mark.parametrize("measure", [False, True])
+    def test_states_equal_serial(self, channel, batch_size, measure):
+        c = nested_circuit(measure=measure)
+        noise = NoiseModel(gate_noise=channel)
+        shots = 30
+        res = run_trajectories_batched(
+            c, noise, shots=shots, seed=13, return_states=True,
+            options=SimulationOptions(batch_size=batch_size),
+        )
+        rng = np.random.default_rng(13)
+        serial = [run_trajectory(c, noise, rng=rng) for _ in range(shots)]
+        assert res.results == [t.result for t in serial]
+        assert np.array_equal(res.states, np.stack([t.state for t in serial]))
 
 
 class TestWorkerInvariance:

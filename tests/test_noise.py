@@ -72,6 +72,106 @@ class TestChannels:
         assert "bit-flip" in repr(BitFlip(0.1))
 
 
+class TestKrausSelector:
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            PauliChannel(),
+            PauliChannel(px=0.1, pz=0.2),
+            BitFlip(0.3),
+            BitFlip(1.0),
+            PhaseFlip(0.2),
+            Depolarizing(0.1),
+        ],
+        ids=["pauli-id", "pauli", "bit-flip", "bit-flip-1", "phase-flip",
+             "depolarizing"],
+    )
+    def test_pauli_family_is_unitary_mixture(self, channel):
+        assert channel.is_unitary_mixture
+
+    def test_amplitude_damping_is_general(self):
+        assert not AmplitudeDamping(0.3).is_unitary_mixture
+
+    def test_mixture_branches_are_unitaries(self):
+        index, branches, probs = Depolarizing(0.3).select(
+            np.zeros((4, 2), complex), 0, np.array([0.0, 0.75, 0.85, 0.95])
+        )
+        assert probs is None
+        assert list(index) == [0, 1, 2, 3]
+        assert branches[0] is None  # the identity is not applied
+        paulis = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+        for op, sigma in zip(branches[1:], paulis):
+            np.testing.assert_allclose(op, sigma, atol=1e-15)
+
+    def test_certain_flip_skips_zero_probability_identity(self):
+        """BitFlip(1.0) keeps a zero-weight identity Kraus operator; no
+        uniform may select it."""
+        index, branches, _ = BitFlip(1.0).select(
+            np.zeros((3, 2), complex), 0, np.array([0.0, 0.5, 1.0 - 1e-16])
+        )
+        assert branches[0] is None
+        assert list(index) == [1, 1, 1]
+
+    def test_general_probabilities_from_reduced_density(self):
+        # rows |1>|0>, |0>|+>, |+>|1> on two qubits; target qubit 0
+        plus = np.array([1, 1]) / np.sqrt(2)
+        states = np.stack([
+            np.kron([0, 1], [1, 0]),
+            np.kron([1, 0], plus),
+            np.kron(plus, [0, 1]),
+        ]).astype(complex)
+        ch = AmplitudeDamping(0.4)
+        index, branches, probs = ch.select(
+            states, 0, np.array([0.5, 0.999, 0.1])
+        )
+        np.testing.assert_allclose(
+            probs, [[0.6, 0.4], [1.0, 0.0], [0.8, 0.2]], atol=1e-15
+        )
+        # on |0> K1 has zero probability, so even r=0.999 takes K0
+        assert list(index) == [0, 0, 0]
+        for op, k in zip(branches, ch.kraus):
+            np.testing.assert_array_equal(op, k)
+        _, _, probs_q1 = ch.select(states, 1, np.zeros(3))
+        np.testing.assert_allclose(
+            probs_q1, [[1.0, 0.0], [0.8, 0.2], [0.6, 0.4]], atol=1e-15
+        )
+
+    def test_nothing_selectable_raises(self):
+        with pytest.raises(SimulationError):
+            AmplitudeDamping(0.3).select(
+                np.zeros((2, 2), complex), 0, np.array([0.1, 0.2])
+            )
+
+    def test_identity_rows_bitwise_unchanged(self):
+        """A row whose every uniform picks the identity branch ends
+        bitwise equal to the noiseless replay of the same plan."""
+        from repro.execution.trajectory import (
+            channel_map,
+            draws_per_shot,
+            execute_batch,
+        )
+        from repro.simulation.plan import get_plan
+
+        c = QCircuit(3)
+        c.push_back(Hadamard(0))
+        c.push_back(CNOT(0, 1))
+        c.push_back(CNOT(1, 2))
+        noise = NoiseModel(gate_noise=Depolarizing(0.3))
+        plan, _ = get_plan(c, "kernel", np.complex128, fuse=False)
+        channels = channel_map(c, noise)
+        width = draws_per_shot(plan, channels, noise)
+        draws = np.array([[0.0] * width, [0.99] * width, [0.5] * width])
+        _, noisy = execute_batch(
+            plan, channels, noise, None, draws, np.complex128
+        )
+        _, clean = execute_batch(
+            plan, {}, NoiseModel(), None, np.empty((3, 0)), np.complex128
+        )
+        assert np.array_equal(noisy[0], clean[0])
+        assert np.array_equal(noisy[2], clean[2])
+        assert not np.allclose(noisy[1], clean[1])
+
+
 class TestNoiseModel:
     def test_default_trivial(self):
         assert NoiseModel().is_trivial
