@@ -64,6 +64,14 @@ def serial_counts(circuit, noise, shots, seed):
 
 def batched_counts(circuit, noise, shots, seed, max_workers=1):
     opts = SimulationOptions(max_workers=max_workers)
+    if max_workers > 1:
+        # one batch per worker and no per-worker shot floor, so the job
+        # really fans out at these shot counts
+        opts = SimulationOptions(
+            max_workers=max_workers,
+            batch_size=max(1, shots // max_workers),
+            min_shots_per_worker=1,
+        )
     return run_trajectories_batched(
         circuit, noise, shots=shots, seed=seed, options=opts
     ).counts

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.circuit import Measurement, QCircuit
 from repro.exceptions import CircuitError
 from repro.gates import CZ, Hadamard, MCZ, PauliX, PauliZ

@@ -7,7 +7,7 @@ exercise multi-qubit Hadamard sandwiches with phase oracles.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.algorithms.grover import oracle_circuit
 from repro.circuit import Measurement, QCircuit

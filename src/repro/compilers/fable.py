@@ -28,7 +28,6 @@ an operator-norm error bounded by the dropped weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 

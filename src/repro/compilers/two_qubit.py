@@ -23,7 +23,7 @@ import scipy.linalg
 from repro.circuit import QCircuit
 from repro.compilers.multiplexor import append_multiplexed_rotation
 from repro.exceptions import CircuitError
-from repro.gates import MatrixGate, Phase, RotationZ, RotationZZ
+from repro.gates import MatrixGate, RotationZ, RotationZZ
 from repro.gates.base import validate_unitary
 
 __all__ = ["decompose_two_qubit"]

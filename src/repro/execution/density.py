@@ -2,11 +2,16 @@
 
 Moved here from :mod:`repro.simulation.density_sim` so the execution
 core owns every plan-replay loop: :func:`run_density_plan` walks a
-compiled plan once per branch set, applying gates as
-``U rho U^dagger``, channels exactly as ``sum_k K_k rho K_k^dagger``,
-and measurements selectively.  The public entry point and the
-:class:`~repro.simulation.DensitySimulation` result object stay in
-``density_sim``; this module returns raw branches.
+compiled plan once per branch set and returns raw branches.  The public
+entry point and the :class:`~repro.simulation.DensitySimulation` result
+object stay in ``density_sim``.
+
+A ``2^n x 2^n`` density matrix is a state vector of ``2n`` qubits: row
+qubit ``q`` is qubit ``q`` and column qubit ``q`` is qubit ``q + n``.
+So ``U rho U^dagger`` is ``U`` on the row qubits followed by ``conj(U)``
+on the column qubits, and a channel is one ``4 x 4`` superoperator
+``S = sum_k K_k (x) conj(K_k)`` on the pair ``(q, q + n)`` (the
+Liouville form), each through the backend's plain ``apply``.
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ from repro.exceptions import StateError
 from repro.execution.dispatch import KRAUS, step_kind, step_meter
 from repro.simulation.plan import GATE, MEASURE
 from repro.simulation.state import initial_state
-from repro.utils.bits import gather_indices
 
 __all__ = ["DensityBranch", "initial_density", "run_density_plan"]
+
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
 
 @dataclass
@@ -35,47 +41,47 @@ class DensityBranch:
     result: str
 
 
-def _conjugate_apply(engine, rho, kernel, qubits, nb_qubits):
-    """``K rho K^dagger`` via two batched backend applications."""
-    left = engine.apply(rho, kernel, qubits, nb_qubits)
-    # right-multiplication by K^dagger: (K left^dagger)^dagger
-    return engine.apply(
-        np.ascontiguousarray(left.conj().T), kernel, qubits, nb_qubits
-    ).conj().T
-
-
-def _apply_channel(engine, rho, kraus, qubit, nb_qubits):
-    """Exact channel action ``sum_k K_k rho K_k^dagger``."""
-    out = np.zeros_like(rho)
-    for k in kraus:
-        out += _conjugate_apply(engine, rho.copy(), k, [qubit], nb_qubits)
-    return out
+def _conjugate(engine, rho, kernel, targets, nb_qubits, controls=(),
+               control_states=(), diagonal=False):
+    """``K rho K^dagger``: ``K`` on the row qubits of the ``(dim, dim)``
+    array, then ``conj(K)`` on the column qubits of its ``2n``-qubit
+    flattening.  May update ``rho`` in place."""
+    rows = engine.apply(
+        rho, kernel, targets, nb_qubits, controls, control_states, diagonal
+    )
+    both = engine.apply(
+        rows.reshape(-1), np.conj(kernel), [t + nb_qubits for t in targets],
+        2 * nb_qubits, [c + nb_qubits for c in controls], control_states,
+        diagonal,
+    )
+    return both.reshape(rho.shape)
 
 
 def _measure_density(engine, branches, meas, qubit, nb_qubits, atol):
     """Selective measurement: split every branch on the outcome."""
     out = []
     non_z = meas.basis != "z"
+    left, right = 1 << qubit, 1 << (nb_qubits - 1 - qubit)
     for branch in branches:
         rho = branch.rho
         if non_z:
-            rho = _conjugate_apply(
-                engine, rho.copy(), meas.basis_change, [qubit], nb_qubits
+            rho = _conjugate(
+                engine, rho, meas.basis_change, [qubit], nb_qubits
             )
+        # rows (left, bit, right) times columns (left, bit, right), with
+        # the row's right and the column's left merged into one axis
+        view = rho.reshape(left, 2, right * left, 2, right)
         for outcome in (0, 1):
-            idx = gather_indices(nb_qubits, [qubit], [outcome])
             projected = np.zeros_like(rho)
-            projected[np.ix_(idx, idx)] = rho[np.ix_(idx, idx)]
+            block = projected.reshape(view.shape)
+            block[:, outcome, :, outcome] = view[:, outcome, :, outcome]
             p = float(np.real(np.trace(projected)))
             if p <= atol:
                 continue
             collapsed = projected / p
             if non_z:
-                collapsed = _conjugate_apply(
-                    engine,
-                    collapsed,
-                    meas.basis_change_dagger,
-                    [qubit],
+                collapsed = _conjugate(
+                    engine, collapsed, meas.basis_change_dagger, [qubit],
                     nb_qubits,
                 )
             out.append(
@@ -94,34 +100,24 @@ def _flip_readouts(branches, p):
     for b in branches:
         kept = DensityBranch(b.probability * (1 - p), b.rho, b.result)
         flipped_result = b.result[:-1] + ("1" if b.result[-1] == "0" else "0")
-        flipped = DensityBranch(b.probability * p, b.rho, flipped_result)
+        # its own copy: later steps update a branch's rho in place
+        flipped = DensityBranch(b.probability * p, b.rho.copy(),
+                                flipped_result)
         out.extend([kept, flipped])
     return out
 
 
 def _reset_density(engine, branches, op, qubit, nb_qubits, atol):
     """Non-selective reset: project both outcomes, map 1 -> 0, merge."""
-    from repro.gates import PauliX
-
-    meas = Measurement(op.qubit)
     split = _measure_density(
-        engine,
-        [DensityBranch(b.probability, b.rho, b.result) for b in branches],
-        meas,
-        qubit,
-        nb_qubits,
-        atol,
+        engine, branches, Measurement(op.qubit), qubit, nb_qubits, atol
     )
-    out = []
     for b in split:
-        outcome = b.result[-1]
-        rho = b.rho
-        if outcome == "1":
-            x = PauliX(0).matrix
-            rho = _conjugate_apply(engine, rho.copy(), x, [qubit], nb_qubits)
-        result = b.result if op.record else b.result[:-1]
-        out.append(DensityBranch(b.probability, rho, result))
-    return out
+        if b.result[-1] == "1":
+            b.rho = _conjugate(engine, b.rho, _PAULI_X, [qubit], nb_qubits)
+        if not op.record:
+            b.result = b.result[:-1]
+    return split
 
 
 def initial_density(start, nb_qubits, dtype) -> np.ndarray:
@@ -154,8 +150,9 @@ def run_density_plan(plan, rho0, noise, atol, inst=None):
     work, and accounted through a
     :class:`~repro.execution.dispatch.StepMeter`: one apply per branch
     for a gate step's ``U rho U^dagger``, one ``kraus`` reading per
-    noisy qubit, collapses in the measurement histogram.  Returns the
-    final :class:`DensityBranch` list.
+    noisy qubit (one superoperator pass over each branch), collapses in
+    the measurement histogram.  Returns the final
+    :class:`DensityBranch` list.
     """
     engine = plan.engine
     nb_qubits = plan.nb_qubits
@@ -166,15 +163,14 @@ def run_density_plan(plan, rho0, noise, atol, inst=None):
         if meter is not None:
             t0 = perf_counter()
         if step.kind == GATE:
+            # the step's n-qubit plan caches (``aux``) must not meet the
+            # 2n-qubit column side, so both sides use the plain apply
             for branch in branches:
-                # U rho U^dagger via two planned applies (column- then
-                # row-wise through the conjugate transpose)
-                left = engine.apply_planned(branch.rho, step, nb_qubits)
-                right = engine.apply_planned(
-                    np.ascontiguousarray(left.conj().T), step,
-                    nb_qubits,
+                branch.rho = _conjugate(
+                    engine, branch.rho, step.kernel, step.targets,
+                    nb_qubits, step.controls, step.control_states,
+                    step.diagonal,
                 )
-                branch.rho = right.conj().T
             if meter is not None:
                 dt = perf_counter() - t0
                 meter.kernel(
@@ -183,27 +179,23 @@ def run_density_plan(plan, rho0, noise, atol, inst=None):
                     * engine.planned_bytes(step, rho0, nb_qubits),
                     dt,
                 )
-            channel = (
-                noise.channel_for(step.op)
-                if step.op is not None
-                else None
-            )
+            channel = None if step.op is None else noise.channel_for(step.op)
             if channel is not None and not channel.is_identity:
+                # the channel's Liouville matrix on (row q, column q)
+                sop = sum(np.kron(k, np.conj(k)) for k in channel.kraus)
                 for q in step.noise_qubits:
                     if meter is not None:
                         t0 = perf_counter()
                     for branch in branches:
-                        branch.rho = _apply_channel(
-                            engine, branch.rho, channel.kraus, q,
-                            nb_qubits,
-                        )
+                        branch.rho = engine.apply(
+                            branch.rho.reshape(-1), sop, [q, q + nb_qubits],
+                            2 * nb_qubits,
+                        ).reshape(branch.rho.shape)
                     if meter is not None:
                         dt = perf_counter() - t0
                         meter.kernel(
                             KRAUS, len(branches),
-                            4 * len(channel.kraus) * len(branches)
-                            * rho0.nbytes,
-                            dt,
+                            2 * len(branches) * rho0.nbytes, dt,
                         )
             continue
         if step.kind == MEASURE:

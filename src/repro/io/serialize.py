@@ -13,7 +13,6 @@ stability story.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict
 
 import numpy as np
 

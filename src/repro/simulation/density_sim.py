@@ -1,10 +1,12 @@
 """Exact density-matrix simulation (extension).
 
 Evolves the full density matrix ``rho`` (``2^n x 2^n``) instead of a
-state vector: gates act as ``U rho U^dagger`` (through the optimized
-kernel backend, applied column- then row-wise), noise channels act
-*exactly* as ``rho -> sum_k K_k rho K_k^dagger``, and measurements
-branch selectively like the state-vector simulator.
+state vector.  ``rho`` is treated as a state of ``2n`` qubits (row
+qubit ``q`` is qubit ``q``, column qubit ``q`` is qubit ``q + n``):
+gates act as ``U rho U^dagger`` by applying ``U`` on the row qubits and
+``conj(U)`` on the column qubits, noise channels act *exactly* as one
+``4 x 4`` superoperator ``sum_k K_k (x) conj(K_k)`` on ``(q, q + n)``,
+and measurements branch selectively like the state-vector simulator.
 
 :func:`simulate_density` is a thin wrapper over the unified execution
 core: it resolves options and submits one ``DENSITY``
@@ -110,8 +112,9 @@ def simulate_density(
         ``None`` means ``|0...0>``.
     noise:
         Optional :class:`~repro.noise.NoiseModel`; channels are applied
-        **exactly** (full Kraus sums), readout errors mix branch
-        probabilities classically.
+        **exactly** (one superoperator ``sum_k K_k (x) conj(K_k)`` per
+        noisy qubit), readout errors mix branch probabilities
+        classically.
     options:
         A :class:`~repro.simulation.SimulationOptions` (or a dict of
         its fields) — the same object every simulation entry point
