@@ -303,6 +303,7 @@ def _full_gate(
         states = [int(s) for s in rng.integers(0, 2, size=k)]
         if int(rng.integers(0, 2)):
             return MCX(controls, target, states)
+        theta = _sym(rng, theta, params_out)
         return MCPhase(controls, target, theta, control_states=states)
     # matrix gate on 1 or 2 qubits
     k = 1 if n == 1 else int(rng.integers(1, 3))

@@ -1,10 +1,19 @@
-"""Generic singly-controlled one-qubit gates.
+"""Controlled gates: one wrapper body for every control layout.
 
-:class:`ControlledGate1` wraps any one-qubit gate with one control qubit
-and a configurable *control state* (``1`` = filled dot, the default;
-``0`` = open dot, i.e. the gate fires when the control is ``|0>``).
-The named two-qubit gates in :mod:`repro.gates.two_qubit` (CNOT, CZ,
-CPhase, ...) specialize this class.
+A controlled gate is a target gate plus control qubits, each with a
+*control state* (``1`` = filled dot, the default; ``0`` = open dot, i.e.
+the gate fires when that control is ``|0>``).  :class:`_Controlled`
+holds that pair once — the wrapped gate, the sorted controls and their
+states — and implements the whole gate interface over it.  The public
+wrappers only validate their constructor arguments:
+
+* :class:`ControlledGate1` — a one-qubit gate with one control; the
+  named two-qubit gates in :mod:`repro.gates.two_qubit` (CNOT, CZ,
+  CPhase, ...) specialize it;
+* :class:`ControlledGate` — a multi-qubit gate with one control
+  (e.g. :class:`~repro.gates.CSwap`);
+* :class:`~repro.gates.MCGate` — a one-qubit gate with any number of
+  controls (:mod:`repro.gates.multi_controlled`).
 """
 
 from __future__ import annotations
@@ -20,93 +29,53 @@ from repro.gates.base import (
     QGate,
     controlled_matrix,
 )
-from repro.gates.qgate1 import QGate1
+from repro.gates.fixed import PauliX
 from repro.utils.validation import check_qubit
 
 __all__ = ["ControlledGate1", "ControlledGate"]
 
 
-class ControlledGate1(QGate):
-    """A one-qubit gate with a single control qubit.
+class _Controlled(QGate):
+    """A wrapped target gate applied when every control matches its state.
 
-    Parameters
-    ----------
-    gate:
-        The target one-qubit gate; its ``qubit`` is the target.
-    control:
-        The control qubit (distinct from the target).
-    control_state:
-        ``1`` (default) applies the gate when the control is ``|1>``;
-        ``0`` when it is ``|0>``.
+    Subclass constructors validate their arguments and set ``_gate``,
+    ``_controls`` (a tuple sorted ascending) and ``_control_states``
+    (a parallel tuple of 0/1 entries).
     """
 
     _QASM = None  # OpenQASM name for named subclasses (e.g. "cx")
 
-    def __init__(self, gate, control: int, control_state: int = 1):
-        if not isinstance(gate, QGate) or gate.nbQubits != 1:
-            raise GateError(
-                "ControlledGate1 requires a one-qubit target gate, got "
-                f"{type(gate).__name__}"
-            )
-        control = check_qubit(control)
-        if control == gate.qubit:
-            raise GateError(
-                f"control qubit {control} equals target qubit {gate.qubit}"
-            )
-        if control_state not in (0, 1):
-            raise GateError(f"control state {control_state!r} is not 0 or 1")
-        self._gate = gate
-        self._control = control
-        self._control_state = int(control_state)
-
     # -- structure ----------------------------------------------------------
 
     @property
-    def gate(self) -> QGate1:
+    def gate(self) -> QGate:
         """The wrapped target gate."""
         return self._gate
 
     @property
-    def control(self) -> int:
-        """The control qubit."""
-        return self._control
-
-    @property
-    def target(self) -> int:
-        """The target qubit."""
-        return self._gate.qubit
-
-    @property
-    def control_state(self) -> int:
-        """The control state (0 or 1)."""
-        return self._control_state
-
-    @property
     def qubits(self) -> tuple:
-        return tuple(sorted((self._control, self._gate.qubit)))
+        return tuple(sorted(self._controls + self._gate.qubits))
 
     def controls(self) -> tuple:
-        return (self._control,)
+        return self._controls
 
     def control_states(self) -> tuple:
-        return (self._control_state,)
+        return self._control_states
 
     def target_qubits(self) -> tuple:
-        return (self._gate.qubit,)
+        return self._gate.qubits
 
     def target_matrix(self) -> np.ndarray:
         return self._gate.matrix
-
-    # -- matrix -------------------------------------------------------------
 
     @property
     def matrix(self) -> np.ndarray:
         return controlled_matrix(
             self._gate.matrix,
             self.qubits,
-            (self._control,),
-            (self._control_state,),
-            (self._gate.qubit,),
+            self._controls,
+            self._control_states,
+            self._gate.qubits,
         )
 
     @property
@@ -116,6 +85,8 @@ class ControlledGate1(QGate):
     @property
     def is_fixed(self) -> bool:
         return self._gate.is_fixed
+
+    # -- the wrapped gate's parameter slot -----------------------------------
 
     @property
     def is_bound(self) -> bool:
@@ -137,98 +108,133 @@ class ControlledGate1(QGate):
         (controls are index structure, not part of the kernel)."""
         return self._gate.kernel_values(thetas)
 
-    def bind_parameters(self, values) -> "ControlledGate1":
+    def bind_parameters(self, values) -> "_Controlled":
         """A copy whose wrapped gate has its slot resolved from
         ``values`` (``self`` when already bound)."""
         if self._gate.is_bound:
             return self
-        out = copy.copy(self)
-        out._gate = self._gate.bind_parameters(values)
-        return out
+        return self._with_gate(self._gate.bind_parameters(values))
 
     def _param_signature(self):
-        # the generic wrapper's identity is its inner gate's identity
+        # a wrapper's identity is its inner gate's identity
         return self._gate.signature()
 
     # -- behaviour ----------------------------------------------------------
 
-    def ctranspose(self) -> "ControlledGate1":
-        return ControlledGate1(
-            self._gate.ctranspose(), self._control, self._control_state
-        )
+    def _with_gate(self, gate: QGate) -> "_Controlled":
+        out = copy.copy(self)
+        out._gate = gate
+        return out
+
+    def ctranspose(self) -> "_Controlled":
+        """The same controls around the inverted target gate."""
+        return self._with_gate(self._gate.ctranspose())
 
     def draw_spec(self) -> DrawSpec:
-        ctrl = DrawElement("ctrl1" if self._control_state else "ctrl0")
-        target_el = self._target_draw_element()
-        return DrawSpec(
-            elements={self._control: ctrl, self._gate.qubit: target_el},
-            connect=True,
-        )
-
-    def _target_draw_element(self) -> DrawElement:
-        from repro.gates.fixed import PauliX
-
+        elements = {
+            c: DrawElement("ctrl1" if s else "ctrl0")
+            for c, s in zip(self._controls, self._control_states)
+        }
         if type(self._gate) is PauliX:
-            return DrawElement("oplus")
-        return DrawElement("box", self._gate.label)
+            elements[self._gate.qubit] = DrawElement("oplus")
+        else:
+            elements.update(self._gate.draw_spec().elements)
+        return DrawSpec(elements=elements, connect=True)
 
     def toQASM(self, offset: int = 0) -> str:
-        lines = []
-        c = self._control + offset
-        if self._control_state == 0:
-            lines.append(f"x q[{c}];")
-        lines.append(self._qasm_core(offset))
-        if self._control_state == 0:
-            lines.append(f"x q[{c}];")
-        return "\n".join(lines)
-
-    def _qasm_core(self, offset: int) -> str:
-        """The controlled operation itself (control assumed state-1)."""
         if self._QASM is None:
-            from repro.io.qasm_export import controlled_gate_qasm
+            from repro.io.qasm_export import multi_controlled_qasm
 
-            return controlled_gate_qasm(self, offset)
-        c = self._control + offset
-        t = self._gate.qubit + offset
-        params = self._qasm_params()
-        return f"{self._QASM}{params} q[{c}],q[{t}];"
+            return multi_controlled_qasm(self, offset)
+        # named gate: open controls are conjugated by X
+        flips = [
+            f"x q[{c + offset}];"
+            for c, s in zip(self._controls, self._control_states)
+            if not s
+        ]
+        params = "" if self._gate.is_fixed else f"({self._gate.theta!r})"
+        args = ",".join(
+            f"q[{q + offset}]" for q in self._controls + self._gate.qubits
+        )
+        return "\n".join(flips + [f"{self._QASM}{params} {args};"] + flips)
 
-    def _qasm_params(self) -> str:
-        return ""
-
-    def shifted(self, offset: int) -> "ControlledGate1":
-        out = copy.copy(self)
-        out._control = self._control + int(offset)
-        out._gate = self._gate.shifted(offset)
+    def shifted(self, offset: int) -> "_Controlled":
+        out = self._with_gate(self._gate.shifted(offset))
+        out._controls = tuple(c + int(offset) for c in self._controls)
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, ControlledGate1):
+        if not isinstance(other, _Controlled):
             return NotImplemented
         return (
-            self._control == other._control
-            and self._control_state == other._control_state
+            self._controls == other._controls
+            and self._control_states == other._control_states
             and self._gate == other._gate
         )
 
     __hash__ = QGate.__hash__
 
+
+class ControlledGate1(_Controlled):
+    """A one-qubit gate with a single control qubit.
+
+    Parameters
+    ----------
+    gate:
+        The target one-qubit gate; its ``qubit`` is the target.
+    control:
+        The control qubit (distinct from the target).
+    control_state:
+        ``1`` (default) applies the gate when the control is ``|1>``;
+        ``0`` when it is ``|0>``.
+    """
+
+    def __init__(self, gate, control: int, control_state: int = 1):
+        if not isinstance(gate, QGate) or gate.nbQubits != 1:
+            raise GateError(
+                "ControlledGate1 requires a one-qubit target gate, got "
+                f"{type(gate).__name__}"
+            )
+        control = check_qubit(control)
+        if control == gate.qubit:
+            raise GateError(
+                f"control qubit {control} equals target qubit {gate.qubit}"
+            )
+        if control_state not in (0, 1):
+            raise GateError(f"control state {control_state!r} is not 0 or 1")
+        self._gate = gate
+        self._controls = (control,)
+        self._control_states = (int(control_state),)
+
+    @property
+    def control(self) -> int:
+        """The control qubit."""
+        return self._controls[0]
+
+    @property
+    def target(self) -> int:
+        """The target qubit."""
+        return self._gate.qubit
+
+    @property
+    def control_state(self) -> int:
+        """The control state (0 or 1)."""
+        return self._control_states[0]
+
     def __repr__(self) -> str:
         return (
-            f"{type(self).__name__}(control={self._control}, "
-            f"target={self.target}, control_state={self._control_state})"
+            f"{type(self).__name__}(control={self.control}, "
+            f"target={self.target}, control_state={self.control_state})"
         )
 
 
-class ControlledGate(QGate):
+class ControlledGate(_Controlled):
     """A k-qubit gate with a single control qubit (generic wrapper).
 
     Generalizes :class:`ControlledGate1` to multi-qubit target gates —
     e.g. a controlled SWAP (Fredkin, :class:`~repro.gates.CSwap`) wraps
     ``SWAP`` with one control.
     """
-
-    _QASM = None
 
     def __init__(self, gate: QGate, control: int, control_state: int = 1):
         if not isinstance(gate, QGate):
@@ -249,129 +255,21 @@ class ControlledGate(QGate):
         if control_state not in (0, 1):
             raise GateError(f"control state {control_state!r} is not 0 or 1")
         self._gate = gate
-        self._control = control
-        self._control_state = int(control_state)
-
-    @property
-    def gate(self) -> QGate:
-        """The wrapped target gate."""
-        return self._gate
+        self._controls = (control,)
+        self._control_states = (int(control_state),)
 
     @property
     def control(self) -> int:
         """The control qubit."""
-        return self._control
+        return self._controls[0]
 
     @property
     def control_state(self) -> int:
         """The control state (0 or 1)."""
-        return self._control_state
-
-    @property
-    def qubits(self) -> tuple:
-        return tuple(sorted((self._control,) + self._gate.qubits))
-
-    def controls(self) -> tuple:
-        return (self._control,)
-
-    def control_states(self) -> tuple:
-        return (self._control_state,)
-
-    def target_qubits(self) -> tuple:
-        return self._gate.qubits
-
-    def target_matrix(self):
-        return self._gate.matrix
-
-    @property
-    def matrix(self):
-        return controlled_matrix(
-            self._gate.matrix,
-            self.qubits,
-            (self._control,),
-            (self._control_state,),
-            self._gate.qubits,
-        )
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self._gate.is_diagonal
-
-    @property
-    def is_fixed(self) -> bool:
-        return self._gate.is_fixed
-
-    @property
-    def is_bound(self) -> bool:
-        """Whether the wrapped gate's angle is concrete."""
-        return self._gate.is_bound
-
-    @property
-    def parameter(self):
-        """The wrapped gate's unresolved slot, or ``None``."""
-        return self._gate.parameter
-
-    @property
-    def parameter_expression(self):
-        """Slot expression of the wrapped gate, or ``None``."""
-        return getattr(self._gate, "parameter_expression", None)
-
-    def kernel_values(self, thetas) -> np.ndarray:
-        """Stacked *target* kernels for a batch of angle values
-        (controls are index structure, not part of the kernel)."""
-        return self._gate.kernel_values(thetas)
-
-    def bind_parameters(self, values) -> "ControlledGate":
-        """A copy whose wrapped gate has its slot resolved from
-        ``values`` (``self`` when already bound)."""
-        if self._gate.is_bound:
-            return self
-        out = copy.copy(self)
-        out._gate = self._gate.bind_parameters(values)
-        return out
-
-    def _param_signature(self):
-        return self._gate.signature()
-
-    def ctranspose(self) -> "ControlledGate":
-        return ControlledGate(
-            self._gate.ctranspose(), self._control, self._control_state
-        )
-
-    def draw_spec(self) -> DrawSpec:
-        elements = dict(self._gate.draw_spec().elements)
-        elements[self._control] = DrawElement(
-            "ctrl1" if self._control_state else "ctrl0"
-        )
-        return DrawSpec(elements=elements, connect=True)
-
-    def toQASM(self, offset: int = 0) -> str:
-        from repro.exceptions import QASMError
-
-        raise QASMError(
-            "no OpenQASM 2.0 encoding for a generic controlled "
-            f"{type(self._gate).__name__}; decompose it first"
-        )
-
-    def shifted(self, offset: int) -> "ControlledGate":
-        out = copy.copy(self)
-        out._control = self._control + int(offset)
-        out._gate = self._gate.shifted(offset)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ControlledGate):
-            return NotImplemented
-        return (
-            self._control == other._control
-            and self._control_state == other._control_state
-            and self._gate == other._gate
-        )
-
-    __hash__ = QGate.__hash__
+        return self._control_states[0]
 
     def __repr__(self) -> str:
         return (
-            f"{type(self).__name__}(control={self._control}, "
-            f"gate={self._gate!r}, control_state={self._control_state})"
+            f"{type(self).__name__}(control={self.control}, "
+            f"gate={self._gate!r}, control_state={self.control_state})"
         )

@@ -9,20 +9,11 @@ control_states)``, with the control-state vector defaulting to all ones.
 
 from __future__ import annotations
 
-import copy
-
-import numpy as np
-
 from repro.exceptions import GateError
-from repro.gates.base import (
-    DrawElement,
-    DrawSpec,
-    QGate,
-    controlled_matrix,
-)
+from repro.gates.base import QGate
+from repro.gates.controlled import _Controlled
 from repro.gates.fixed import PauliX, PauliY, PauliZ
 from repro.gates.parametric import Phase, RotationX, RotationY, RotationZ
-from repro.gates.qgate1 import QGate1
 from repro.utils.validation import check_control_states, check_qubits
 
 __all__ = [
@@ -37,7 +28,7 @@ __all__ = [
 ]
 
 
-class MCGate(QGate):
+class MCGate(_Controlled):
     """A one-qubit gate with any number of controls.
 
     Parameters
@@ -68,102 +59,14 @@ class MCGate(QGate):
         states = check_control_states(control_states, len(ctrls))
         # store controls sorted, permuting states alongside
         order = sorted(range(len(ctrls)), key=lambda i: ctrls[i])
+        self._gate = gate
         self._controls = tuple(ctrls[i] for i in order)
         self._control_states = tuple(states[i] for i in order)
-        self._gate = gate
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def gate(self) -> QGate1:
-        """The wrapped target gate."""
-        return self._gate
 
     @property
     def target(self) -> int:
         """The target qubit."""
         return self._gate.qubit
-
-    @property
-    def qubits(self) -> tuple:
-        return tuple(sorted(self._controls + (self._gate.qubit,)))
-
-    def controls(self) -> tuple:
-        return self._controls
-
-    def control_states(self) -> tuple:
-        return self._control_states
-
-    def target_qubits(self) -> tuple:
-        return (self._gate.qubit,)
-
-    def target_matrix(self) -> np.ndarray:
-        return self._gate.matrix
-
-    # -- matrix -------------------------------------------------------------
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return controlled_matrix(
-            self._gate.matrix,
-            self.qubits,
-            self._controls,
-            self._control_states,
-            (self._gate.qubit,),
-        )
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self._gate.is_diagonal
-
-    @property
-    def is_fixed(self) -> bool:
-        return self._gate.is_fixed
-
-    def _param_signature(self):
-        return self._gate.signature()
-
-    # -- behaviour ----------------------------------------------------------
-
-    def ctranspose(self) -> "MCGate":
-        return MCGate(
-            self._gate.ctranspose(), self._controls, self._control_states
-        )
-
-    def draw_spec(self) -> DrawSpec:
-        elements = {
-            c: DrawElement("ctrl1" if s else "ctrl0")
-            for c, s in zip(self._controls, self._control_states)
-        }
-        elements[self._gate.qubit] = self._target_draw_element()
-        return DrawSpec(elements=elements, connect=True)
-
-    def _target_draw_element(self) -> DrawElement:
-        if type(self._gate) is PauliX:
-            return DrawElement("oplus")
-        return DrawElement("box", self._gate.label)
-
-    def toQASM(self, offset: int = 0) -> str:
-        from repro.io.qasm_export import multi_controlled_qasm
-
-        return multi_controlled_qasm(self, offset)
-
-    def shifted(self, offset: int) -> "MCGate":
-        out = copy.copy(self)
-        out._controls = tuple(c + int(offset) for c in self._controls)
-        out._gate = self._gate.shifted(offset)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, MCGate):
-            return NotImplemented
-        return (
-            self._controls == other._controls
-            and self._control_states == other._control_states
-            and self._gate == other._gate
-        )
-
-    __hash__ = QGate.__hash__
 
     def __repr__(self) -> str:
         return (
@@ -180,9 +83,6 @@ class MCX(MCGate):
     def __init__(self, controls, target: int, control_states=None):
         super().__init__(PauliX(target), controls, control_states)
 
-    def ctranspose(self) -> "MCX":
-        return MCX(self._controls, self.target, self._control_states)
-
 
 class MCY(MCGate):
     """Multi-controlled Pauli-Y."""
@@ -190,18 +90,12 @@ class MCY(MCGate):
     def __init__(self, controls, target: int, control_states=None):
         super().__init__(PauliY(target), controls, control_states)
 
-    def ctranspose(self) -> "MCY":
-        return MCY(self._controls, self.target, self._control_states)
-
 
 class MCZ(MCGate):
     """Multi-controlled Pauli-Z (diagonal)."""
 
     def __init__(self, controls, target: int, control_states=None):
         super().__init__(PauliZ(target), controls, control_states)
-
-    def ctranspose(self) -> "MCZ":
-        return MCZ(self._controls, self.target, self._control_states)
 
 
 class MCPhase(MCGate):
@@ -214,16 +108,6 @@ class MCPhase(MCGate):
     def theta(self) -> float:
         """The phase angle in radians."""
         return self.gate.theta
-
-    def ctranspose(self) -> "MCPhase":
-        a = self.gate.angle
-        return MCPhase(
-            self._controls,
-            self.target,
-            a.cos,
-            -a.sin,
-            control_states=self._control_states,
-        )
 
 
 class _MCRotation(MCGate):
@@ -238,14 +122,6 @@ class _MCRotation(MCGate):
     def theta(self) -> float:
         """The rotation angle in radians."""
         return self.gate.theta
-
-    def ctranspose(self):
-        return type(self)(
-            self._controls,
-            self.target,
-            self.gate.rotation.inv(),
-            control_states=self._control_states,
-        )
 
 
 class MCRotationX(_MCRotation):

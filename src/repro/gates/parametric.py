@@ -15,6 +15,8 @@ used by its derived compilers.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.angle import QAngle, QRotation, turnover
@@ -91,7 +93,128 @@ def _add_symbolic(a, b) -> ParameterExpression:
     return eb + a.theta
 
 
-class Phase(QGate1):
+class _AngleSlot(QGate):
+    """A gate with one angle slot: a concrete value or an unbound
+    :class:`~repro.parameter.ParameterExpression`.
+
+    Subclasses store the slot in ``_slot`` — a :class:`QAngle` for the
+    phase gate, a :class:`QRotation` for the rotations (``_VALUE``) —
+    and name themselves through ``_LABEL`` (diagrams) and ``_QASM``
+    (OpenQASM).  While the slot is unbound, every numeric accessor
+    raises :class:`~repro.exceptions.UnboundParameterError`.
+    """
+
+    _VALUE = QRotation
+
+    @property
+    def is_bound(self) -> bool:
+        """``False`` while the angle is an unresolved
+        :class:`~repro.parameter.Parameter` slot."""
+        return not isinstance(self._slot, ParameterExpression)
+
+    @property
+    def parameter(self):
+        """The unresolved :class:`~repro.parameter.Parameter` slot,
+        or ``None`` when the gate is bound."""
+        if isinstance(self._slot, ParameterExpression):
+            return self._slot.parameter
+        return None
+
+    @property
+    def parameter_expression(self):
+        """The stored affine slot expression, or ``None`` when bound."""
+        if isinstance(self._slot, ParameterExpression):
+            return self._slot
+        return None
+
+    def _require_bound(self, what: str):
+        if isinstance(self._slot, ParameterExpression):
+            raise UnboundParameterError(
+                f"{type(self).__name__} on qubit(s) {self.qubits} holds "
+                f"the unbound parameter {self._slot.label!r}; bind a "
+                f"value before reading .{what}"
+            )
+
+    @property
+    def theta(self) -> float:
+        """The angle in radians."""
+        self._require_bound("theta")
+        return self._slot.theta
+
+    @property
+    def is_fixed(self) -> bool:
+        return False
+
+    def _param_signature(self):
+        if isinstance(self._slot, ParameterExpression):
+            return ("slot",) + self._slot.signature()
+        return (self._slot.cos, self._slot.sin)
+
+    @property
+    def label(self) -> str:
+        """Short label used in circuit diagrams, e.g. ``RX(0.5)``."""
+        if not self.is_bound:
+            return f"{self._LABEL}({self._slot.label})"
+        return f"{self._LABEL}({self.theta:.4g})"
+
+    def _with_slot(self, value) -> "_AngleSlot":
+        out = copy.copy(self)
+        out._slot = value
+        return out
+
+    def bind_parameters(self, values) -> "_AngleSlot":
+        """A concrete copy with the slot resolved from ``values``
+        (``self`` when already bound)."""
+        if self.is_bound:
+            return self
+        return self._with_slot(self._VALUE(self._slot.resolve(values)))
+
+    def fuse(self, other: "_AngleSlot") -> "_AngleSlot":
+        """Merge a same-type gate on the same qubits into this one:
+        angles add stably, e.g. ``R(t1) R(t2) = R(t1+t2)``; symbolic
+        angles fold affinely on a shared slot."""
+        if type(other) is not type(self) or other.qubits != self.qubits:
+            raise GateError(
+                f"cannot fuse {type(self).__name__} on qubit(s) "
+                f"{self.qubits} with {type(other).__name__} on qubit(s) "
+                f"{other.qubits}"
+            )
+        bump_mutation_epoch()
+        a, b = self._slot, other._slot
+        if self.is_bound and other.is_bound:
+            self._slot = a * b if isinstance(a, QRotation) else a + b
+        else:
+            self._slot = _add_symbolic(a, b)
+        return self
+
+    def ctranspose(self) -> "_AngleSlot":
+        """The same gate at the negated angle."""
+        a = self._slot
+        return self._with_slot(a.inv() if isinstance(a, QRotation) else -a)
+
+    def toQASM(self, offset: int = 0) -> str:
+        args = ",".join(f"q[{q + offset}]" for q in self.qubits)
+        return f"{self._QASM}({self.theta!r}) {args};"
+
+    def __eq__(self, other):
+        if type(self) is not type(other):
+            return NotImplemented
+        if self.qubits != other.qubits or self.is_bound != other.is_bound:
+            return False
+        if not self.is_bound:
+            return self._slot == other._slot
+        return self._slot.isclose(other._slot)
+
+    __hash__ = QGate.__hash__
+
+    def __repr__(self) -> str:
+        qs = ", ".join(str(q) for q in self.qubits)
+        if not self.is_bound:
+            return f"{type(self).__name__}({qs}, <{self._slot.label}>)"
+        return f"{type(self).__name__}({qs}, {self.theta!r})"
+
+
+class Phase(_AngleSlot, QGate1):
     """The phase gate ``P(theta) = diag(1, e^{i theta})``.
 
     Accepts ``Phase(qubit, theta)``, ``Phase(qubit, QAngle)``,
@@ -101,57 +224,24 @@ class Phase(QGate1):
     :class:`~repro.exceptions.UnboundParameterError` until bound).
     """
 
+    _LABEL = "P"
     _QASM = "u1"
+    _VALUE = QAngle
 
     def __init__(self, qubit: int = 0, *args) -> None:
         super().__init__(qubit)
-        self._angle = _as_angle(*args) if args else QAngle()
-
-    @property
-    def is_bound(self) -> bool:
-        """``False`` while the angle is an unresolved
-        :class:`~repro.parameter.Parameter` slot."""
-        return not isinstance(self._angle, ParameterExpression)
-
-    @property
-    def parameter(self):
-        """The unresolved :class:`~repro.parameter.Parameter` slot,
-        or ``None`` when the gate is bound."""
-        if isinstance(self._angle, ParameterExpression):
-            return self._angle.parameter
-        return None
-
-    @property
-    def parameter_expression(self):
-        """The stored affine slot expression, or ``None`` when bound."""
-        if isinstance(self._angle, ParameterExpression):
-            return self._angle
-        return None
-
-    def _require_bound(self, what: str):
-        if isinstance(self._angle, ParameterExpression):
-            raise UnboundParameterError(
-                f"{type(self).__name__} on qubit {self.qubit} holds the "
-                f"unbound parameter {self._angle.label!r}; bind a value "
-                f"before reading .{what}"
-            )
+        self._slot = _as_angle(*args) if args else QAngle()
 
     @property
     def angle(self) -> QAngle:
         """The phase angle as a :class:`QAngle`."""
         self._require_bound("angle")
-        return self._angle
-
-    @property
-    def theta(self) -> float:
-        """The phase angle in radians."""
-        self._require_bound("theta")
-        return self._angle.theta
+        return self._slot
 
     @property
     def matrix(self) -> np.ndarray:
         self._require_bound("matrix")
-        c, s = self._angle.cos, self._angle.sin
+        c, s = self._slot.cos, self._slot.sin
         return np.array([[1, 0], [0, complex(c, s)]], dtype=np.complex128)
 
     def kernel_values(self, thetas) -> np.ndarray:
@@ -163,68 +253,16 @@ class Phase(QGate1):
         out[:, 1, 1] = np.cos(thetas) + 1j * np.sin(thetas)
         return out
 
-    def bind_parameters(self, values) -> "Phase":
-        """A concrete copy with the slot resolved from ``values``
-        (``self`` when already bound)."""
-        if self.is_bound:
-            return self
-        return Phase(self.qubit, self._angle.resolve(values))
-
     @property
     def is_diagonal(self) -> bool:
         return True
 
-    @property
-    def is_fixed(self) -> bool:
-        return False
-
-    def _param_signature(self):
-        if isinstance(self._angle, ParameterExpression):
-            return ("slot",) + self._angle.signature()
-        return (self._angle.cos, self._angle.sin)
-
-    @property
-    def label(self) -> str:
-        if not self.is_bound:
-            return f"P({self._angle.label})"
-        return f"P({self.theta:.4g})"
-
-    def fuse(self, other: "Phase") -> "Phase":
-        """Merge another phase gate into this one (angles add stably;
-        symbolic angles fold affinely on a shared slot)."""
-        if not isinstance(other, Phase):
-            raise GateError(f"cannot fuse Phase with {type(other).__name__}")
-        bump_mutation_epoch()
-        if self.is_bound and other.is_bound:
-            self._angle = self._angle + other._angle
-        else:
-            self._angle = _add_symbolic(self._angle, other._angle)
-        return self
-
-    def ctranspose(self) -> "Phase":
-        a = self._angle
-        if isinstance(a, ParameterExpression):
-            return Phase(self.qubit, -a)
-        return Phase(self.qubit, a.cos, -a.sin)
-
-    def toQASM(self, offset: int = 0) -> str:
-        return f"u1({self.theta!r}) q[{self.qubit + offset}];"
-
-    def __eq__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented
-        if self.is_bound != other.is_bound:
-            return False
-        if not self.is_bound:
-            return self.qubits == other.qubits and self._angle == other._angle
-        return self.qubits == other.qubits and self._angle.isclose(
-            other._angle
-        )
-
-    __hash__ = QGate1.__hash__
+    # The phase gate has always printed as ``Phase(qubit)``; keep that
+    # form rather than the angle-bearing one of the rotations.
+    __repr__ = QGate1.__repr__
 
 
-class RotationGate1(QGate1):
+class RotationGate1(_AngleSlot, QGate1):
     """Base class for the one-qubit rotations RX, RY, RZ.
 
     Accepts ``(qubit, theta)``, ``(qubit, QRotation)``,
@@ -238,7 +276,7 @@ class RotationGate1(QGate1):
 
     def __init__(self, qubit: int = 0, *args) -> None:
         super().__init__(qubit)
-        self._rotation = _as_rotation(*args) if args else QRotation()
+        self._slot = _as_rotation(*args) if args else QRotation()
 
     @property
     def axis(self) -> str:
@@ -246,72 +284,22 @@ class RotationGate1(QGate1):
         return self._AXIS
 
     @property
-    def is_bound(self) -> bool:
-        """``False`` while the angle is an unresolved
-        :class:`~repro.parameter.Parameter` slot."""
-        return not isinstance(self._rotation, ParameterExpression)
-
-    @property
-    def parameter(self):
-        """The unresolved :class:`~repro.parameter.Parameter` slot,
-        or ``None`` when the gate is bound."""
-        if isinstance(self._rotation, ParameterExpression):
-            return self._rotation.parameter
-        return None
-
-    @property
-    def parameter_expression(self):
-        """The stored affine slot expression, or ``None`` when bound."""
-        if isinstance(self._rotation, ParameterExpression):
-            return self._rotation
-        return None
-
-    def _require_bound(self, what: str):
-        if isinstance(self._rotation, ParameterExpression):
-            raise UnboundParameterError(
-                f"{type(self).__name__} on qubit(s) {self.qubits} holds "
-                f"the unbound parameter {self._rotation.label!r}; bind a "
-                f"value before reading .{what}"
-            )
-
-    @property
     def rotation(self) -> QRotation:
         """The rotation value object."""
         self._require_bound("rotation")
-        return self._rotation
-
-    @property
-    def theta(self) -> float:
-        """The rotation angle in radians."""
-        self._require_bound("theta")
-        return self._rotation.theta
+        return self._slot
 
     @property
     def cos(self) -> float:
         """``cos(theta/2)``."""
         self._require_bound("cos")
-        return self._rotation.cos
+        return self._slot.cos
 
     @property
     def sin(self) -> float:
         """``sin(theta/2)``."""
         self._require_bound("sin")
-        return self._rotation.sin
-
-    @property
-    def is_fixed(self) -> bool:
-        return False
-
-    def _param_signature(self):
-        if isinstance(self._rotation, ParameterExpression):
-            return ("slot",) + self._rotation.signature()
-        return (self._rotation.cos, self._rotation.sin)
-
-    @property
-    def label(self) -> str:
-        if not self.is_bound:
-            return f"R{self._AXIS.upper()}({self._rotation.label})"
-        return f"R{self._AXIS.upper()}({self.theta:.4g})"
+        return self._slot.sin
 
     def kernel_values(self, thetas) -> np.ndarray:
         """Stacked ``(P, 2, 2)`` kernels for a batch of angle values
@@ -325,65 +313,13 @@ class RotationGate1(QGate1):
     def _kernel_batch(c: np.ndarray, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def bind_parameters(self, values) -> "RotationGate1":
-        """A concrete copy with the slot resolved from ``values``
-        (``self`` when already bound)."""
-        if self.is_bound:
-            return self
-        return type(self)(self.qubit, self._rotation.resolve(values))
-
-    def fuse(self, other: "RotationGate1") -> "RotationGate1":
-        """Merge a same-axis rotation into this one: ``R(t1) R(t2) =
-        R(t1+t2)`` (symbolic angles fold affinely on a shared slot)."""
-        if type(other) is not type(self):
-            raise GateError(
-                f"cannot fuse {type(self).__name__} with "
-                f"{type(other).__name__}"
-            )
-        bump_mutation_epoch()
-        if self.is_bound and other.is_bound:
-            self._rotation = self._rotation * other._rotation
-        else:
-            self._rotation = _add_symbolic(self._rotation, other._rotation)
-        return self
-
-    def ctranspose(self):
-        if isinstance(self._rotation, ParameterExpression):
-            return type(self)(self.qubit, -self._rotation)
-        return type(self)(self.qubit, self._rotation.inv())
-
-    def toQASM(self, offset: int = 0) -> str:
-        return f"r{self._AXIS}({self.theta!r}) q[{self.qubit + offset}];"
-
-    def __eq__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented
-        if self.is_bound != other.is_bound:
-            return False
-        if not self.is_bound:
-            return (
-                self.qubits == other.qubits
-                and self._rotation == other._rotation
-            )
-        return self.qubits == other.qubits and self._rotation.isclose(
-            other._rotation
-        )
-
-    __hash__ = QGate1.__hash__
-
-    def __repr__(self) -> str:
-        if not self.is_bound:
-            return (
-                f"{type(self).__name__}({self.qubit}, "
-                f"<{self._rotation.label}>)"
-            )
-        return f"{type(self).__name__}({self.qubit}, {self.theta!r})"
-
 
 class RotationX(RotationGate1):
     """``RX(theta) = exp(-i theta/2 X)``."""
 
     _AXIS = "x"
+    _LABEL = "RX"
+    _QASM = "rx"
 
     @property
     def matrix(self) -> np.ndarray:
@@ -404,6 +340,8 @@ class RotationY(RotationGate1):
     """``RY(theta) = exp(-i theta/2 Y)``."""
 
     _AXIS = "y"
+    _LABEL = "RY"
+    _QASM = "ry"
 
     @property
     def matrix(self) -> np.ndarray:
@@ -424,6 +362,8 @@ class RotationZ(RotationGate1):
     """``RZ(theta) = exp(-i theta/2 Z) = diag(e^{-i theta/2}, e^{i theta/2})``."""
 
     _AXIS = "z"
+    _LABEL = "RZ"
+    _QASM = "rz"
 
     @property
     def matrix(self) -> np.ndarray:
@@ -584,7 +524,7 @@ class U3(QGate1):
     __hash__ = QGate1.__hash__
 
 
-class RotationGate2(QGate):
+class RotationGate2(_AngleSlot):
     """Base class for the two-qubit coupling rotations RXX, RYY, RZZ.
 
     ``R_aa(theta) = exp(-i theta/2 sigma_a (x) sigma_a)``; these are the
@@ -599,7 +539,7 @@ class RotationGate2(QGate):
     def __init__(self, qubit0: int, qubit1: int, *args) -> None:
         qs = check_qubits([qubit0, qubit1])
         self._qubits = tuple(sorted(qs))
-        self._rotation = _as_rotation(*args) if args else QRotation()
+        self._slot = _as_rotation(*args) if args else QRotation()
 
     @property
     def qubits(self) -> tuple:
@@ -611,59 +551,15 @@ class RotationGate2(QGate):
         return self._AXIS
 
     @property
-    def is_bound(self) -> bool:
-        """``False`` while the angle is an unresolved
-        :class:`~repro.parameter.Parameter` slot."""
-        return not isinstance(self._rotation, ParameterExpression)
-
-    @property
-    def parameter(self):
-        """The unresolved :class:`~repro.parameter.Parameter` slot,
-        or ``None`` when the gate is bound."""
-        if isinstance(self._rotation, ParameterExpression):
-            return self._rotation.parameter
-        return None
-
-    @property
-    def parameter_expression(self):
-        """The stored affine slot expression, or ``None`` when bound."""
-        if isinstance(self._rotation, ParameterExpression):
-            return self._rotation
-        return None
-
-    def _require_bound(self, what: str):
-        if isinstance(self._rotation, ParameterExpression):
-            raise UnboundParameterError(
-                f"{type(self).__name__} on qubits {self._qubits} holds "
-                f"the unbound parameter {self._rotation.label!r}; bind a "
-                f"value before reading .{what}"
-            )
-
-    @property
     def rotation(self) -> QRotation:
         """The rotation value object."""
         self._require_bound("rotation")
-        return self._rotation
-
-    @property
-    def theta(self) -> float:
-        """The rotation angle in radians."""
-        self._require_bound("theta")
-        return self._rotation.theta
-
-    @property
-    def is_fixed(self) -> bool:
-        return False
-
-    def _param_signature(self):
-        if isinstance(self._rotation, ParameterExpression):
-            return ("slot",) + self._rotation.signature()
-        return (self._rotation.cos, self._rotation.sin)
+        return self._slot
 
     @property
     def matrix(self) -> np.ndarray:
         self._require_bound("matrix")
-        c, s = self._rotation.cos, self._rotation.sin
+        c, s = self._slot.cos, self._slot.sin
         return c * np.eye(4, dtype=np.complex128) - 1j * s * self._PAULI2
 
     def kernel_values(self, thetas) -> np.ndarray:
@@ -678,81 +574,16 @@ class RotationGate2(QGate):
             - 1j * s[:, None, None] * self._PAULI2
         )
 
-    def bind_parameters(self, values) -> "RotationGate2":
-        """A concrete copy with the slot resolved from ``values``
-        (``self`` when already bound)."""
-        if self.is_bound:
-            return self
-        return type(self)(*self._qubits, self._rotation.resolve(values))
-
-    @property
-    def label(self) -> str:
-        a = self._AXIS.upper()
-        if not self.is_bound:
-            return f"R{a}{a}({self._rotation.label})"
-        return f"R{a}{a}({self.theta:.4g})"
-
     def draw_spec(self) -> DrawSpec:
         el = DrawElement("box", self.label)
         return DrawSpec(
             elements={q: el for q in self._qubits}, connect=True
         )
 
-    def fuse(self, other: "RotationGate2") -> "RotationGate2":
-        """Merge a same-axis, same-qubits coupling rotation into this one."""
-        if type(other) is not type(self) or other.qubits != self.qubits:
-            raise GateError(
-                "fuse requires the same coupling axis and qubit pair"
-            )
-        bump_mutation_epoch()
-        if self.is_bound and other.is_bound:
-            self._rotation = self._rotation * other._rotation
-        else:
-            self._rotation = _add_symbolic(self._rotation, other._rotation)
-        return self
-
-    def ctranspose(self):
-        if isinstance(self._rotation, ParameterExpression):
-            return type(self)(*self._qubits, -self._rotation)
-        return type(self)(*self._qubits, self._rotation.inv())
-
-    def toQASM(self, offset: int = 0) -> str:
-        a, b = (q + offset for q in self._qubits)
-        return f"r{self._AXIS}{self._AXIS}({self.theta!r}) q[{a}],q[{b}];"
-
     def shifted(self, offset: int):
-        import copy
-
         out = copy.copy(self)
         out._qubits = tuple(q + int(offset) for q in self._qubits)
         return out
-
-    def __eq__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented
-        if self.is_bound != other.is_bound:
-            return False
-        if not self.is_bound:
-            return (
-                self.qubits == other.qubits
-                and self._rotation == other._rotation
-            )
-        return self.qubits == other.qubits and self._rotation.isclose(
-            other._rotation
-        )
-
-    __hash__ = QGate.__hash__
-
-    def __repr__(self) -> str:
-        if not self.is_bound:
-            return (
-                f"{type(self).__name__}({self._qubits[0]}, "
-                f"{self._qubits[1]}, <{self._rotation.label}>)"
-            )
-        return (
-            f"{type(self).__name__}({self._qubits[0]}, {self._qubits[1]}, "
-            f"{self.theta!r})"
-        )
 
 
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -764,6 +595,8 @@ class RotationXX(RotationGate2):
     """``RXX(theta) = exp(-i theta/2 X (x) X)``."""
 
     _AXIS = "x"
+    _LABEL = "RXX"
+    _QASM = "rxx"
     _PAULI2 = np.kron(_X, _X)
 
 
@@ -771,6 +604,8 @@ class RotationYY(RotationGate2):
     """``RYY(theta) = exp(-i theta/2 Y (x) Y)``."""
 
     _AXIS = "y"
+    _LABEL = "RYY"
+    _QASM = "ryy"
     _PAULI2 = np.kron(_Y, _Y)
 
 
@@ -778,12 +613,13 @@ class RotationZZ(RotationGate2):
     """``RZZ(theta) = exp(-i theta/2 Z (x) Z)`` (diagonal)."""
 
     _AXIS = "z"
+    _LABEL = "RZZ"
+    _QASM = "rzz"
     _PAULI2 = np.kron(_Z, _Z)
 
     @property
     def is_diagonal(self) -> bool:
         return True
-
 
 def turnover_gates(g1, g2, g3):
     """Turn over a V-shaped pattern of three rotation gates.

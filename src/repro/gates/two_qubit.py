@@ -41,9 +41,6 @@ class CNOT(ControlledGate1):
     def __init__(self, control: int, target: int, control_state: int = 1):
         super().__init__(PauliX(target), control, control_state)
 
-    def ctranspose(self) -> "CNOT":
-        return CNOT(self.control, self.target, self.control_state)
-
 
 #: ``CX`` is an alias of :class:`CNOT` (both names appear in the QCLAB docs).
 CX = CNOT
@@ -57,9 +54,6 @@ class CY(ControlledGate1):
     def __init__(self, control: int, target: int, control_state: int = 1):
         super().__init__(PauliY(target), control, control_state)
 
-    def ctranspose(self) -> "CY":
-        return CY(self.control, self.target, self.control_state)
-
 
 class CZ(ControlledGate1):
     """Controlled Pauli-Z (symmetric in control and target)."""
@@ -69,9 +63,6 @@ class CZ(ControlledGate1):
     def __init__(self, control: int, target: int, control_state: int = 1):
         super().__init__(PauliZ(target), control, control_state)
 
-    def ctranspose(self) -> "CZ":
-        return CZ(self.control, self.target, self.control_state)
-
 
 class CH(ControlledGate1):
     """Controlled Hadamard."""
@@ -80,9 +71,6 @@ class CH(ControlledGate1):
 
     def __init__(self, control: int, target: int, control_state: int = 1):
         super().__init__(Hadamard(target), control, control_state)
-
-    def ctranspose(self) -> "CH":
-        return CH(self.control, self.target, self.control_state)
 
 
 class CPhase(ControlledGate1):
@@ -106,25 +94,6 @@ class CPhase(ControlledGate1):
         """The phase angle as a :class:`~repro.angle.QAngle`."""
         return self.gate.angle
 
-    def _qasm_params(self) -> str:
-        return f"({self.theta!r})"
-
-    def ctranspose(self) -> "CPhase":
-        expr = self.gate.parameter_expression
-        if expr is not None:
-            return CPhase(
-                self.control, self.target, -expr,
-                control_state=self.control_state,
-            )
-        a = self.gate.angle
-        return CPhase(
-            self.control,
-            self.target,
-            a.cos,
-            -a.sin,
-            control_state=self.control_state,
-        )
-
 
 class _CRotation(ControlledGate1):
     """Shared implementation of the controlled rotations."""
@@ -145,23 +114,6 @@ class _CRotation(ControlledGate1):
     def rotation(self):
         """The rotation as a :class:`~repro.angle.QRotation`."""
         return self.gate.rotation
-
-    def _qasm_params(self) -> str:
-        return f"({self.theta!r})"
-
-    def ctranspose(self):
-        expr = self.gate.parameter_expression
-        if expr is not None:
-            return type(self)(
-                self.control, self.target, -expr,
-                control_state=self.control_state,
-            )
-        return type(self)(
-            self.control,
-            self.target,
-            self.gate.rotation.inv(),
-            control_state=self.control_state,
-        )
 
 
 class CRotationX(_CRotation):
@@ -322,32 +274,10 @@ class CSwap(ControlledGate):
     the control matches its state (``qelib1``'s ``cswap``).
     """
 
+    _QASM = "cswap"
+
     def __init__(
         self, control: int, target0: int, target1: int,
         control_state: int = 1,
     ):
         super().__init__(SWAP(target0, target1), control, control_state)
-
-    def ctranspose(self) -> "CSwap":
-        t0, t1 = self.gate.qubits
-        return CSwap(self.control, t0, t1, self.control_state)
-
-    def draw_spec(self) -> DrawSpec:
-        elements = {
-            q: DrawElement("cross") for q in self.gate.qubits
-        }
-        elements[self.control] = DrawElement(
-            "ctrl1" if self.control_state else "ctrl0"
-        )
-        return DrawSpec(elements=elements, connect=True)
-
-    def toQASM(self, offset: int = 0) -> str:
-        c = self.control + offset
-        t0, t1 = (q + offset for q in self.gate.qubits)
-        lines = []
-        if self.control_state == 0:
-            lines.append(f"x q[{c}];")
-        lines.append(f"cswap q[{c}],q[{t0}],q[{t1}];")
-        if self.control_state == 0:
-            lines.append(f"x q[{c}];")
-        return "\n".join(lines)

@@ -20,7 +20,6 @@ __all__ = [
     "circuit_to_qasm",
     "u3_params",
     "unitary_to_u3_qasm",
-    "controlled_gate_qasm",
     "multi_controlled_qasm",
     "matrix_gate_qasm",
 ]
@@ -137,10 +136,17 @@ def _mcu_lines(
 
 
 def multi_controlled_qasm(gate, offset: int = 0) -> str:
-    """QASM for an :class:`~repro.gates.MCGate` (any controls/states)."""
+    """QASM for a controlled gate with a one-qubit target (any number of
+    controls, any control states); open controls are conjugated by X."""
+    targets = gate.target_qubits()
+    if len(targets) != 1:
+        raise QASMError(
+            "no OpenQASM 2.0 encoding for a generic controlled "
+            f"{type(gate.gate).__name__}; decompose it first"
+        )
     controls = [c + offset for c in gate.controls()]
     states = list(gate.control_states())
-    target = gate.target + offset
+    target = targets[0] + offset
     lines: List[str] = []
     flips = [c for c, s in zip(controls, states) if s == 0]
     for c in flips:
@@ -149,14 +155,6 @@ def multi_controlled_qasm(gate, offset: int = 0) -> str:
     for c in flips:
         lines.append(f"x q[{c}];")
     return "\n".join(lines)
-
-
-def controlled_gate_qasm(gate, offset: int = 0) -> str:
-    """QASM core for a generic :class:`ControlledGate1` (state-1 control;
-    the caller wraps state-0 controls with ``x``)."""
-    control = gate.control + offset
-    target = gate.target + offset
-    return "\n".join(_controlled_u_lines(control, target, gate.target_matrix()))
 
 
 def matrix_gate_qasm(gate, offset: int = 0) -> str:

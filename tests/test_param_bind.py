@@ -27,11 +27,18 @@ from repro import (
 from repro.circuit import Measurement
 from repro.exceptions import GateError, SimulationError
 from repro.gates import (
+    ControlledGate,
+    ControlledGate1,
     CPhase,
     CRotationX,
     CRotationY,
     CRotationZ,
     Hadamard,
+    MCGate,
+    MCPhase,
+    MCRotationX,
+    MCRotationY,
+    MCRotationZ,
     Phase,
     RotationX,
     RotationXX,
@@ -320,6 +327,73 @@ class TestSweep:
         with instrument() as inst:
             c.sweep({p: np.linspace(0, 1, 13)})
         assert inst.metrics.counter(SWEEP_POINTS).total() == 13
+
+
+# -- controlled wrappers around a slot ---------------------------------------
+
+#: every controlled wrapper, each built around one angle slot ``a``
+CONTROLLED_SLOTS = {
+    "MCRotationX": lambda a: MCRotationX([0, 1], 2, a),
+    "MCRotationY": lambda a: MCRotationY([0, 2], 1, a, control_states=[0, 1]),
+    "MCRotationZ": lambda a: MCRotationZ([1, 2], 0, a),
+    "MCPhase": lambda a: MCPhase([0, 1], 2, a, control_states=[1, 0]),
+    "MCGate": lambda a: MCGate(RotationY(2, a), [0, 1], [0, 1]),
+    "ControlledGate1": lambda a: ControlledGate1(RotationZ(0, a), 2, 0),
+    "ControlledGate": lambda a: ControlledGate(RotationXX(1, 2, a), 0),
+}
+
+
+def _controlled_circuit(make, a):
+    c = QCircuit(3)
+    for q in range(3):
+        c.push_back(Hadamard(q))
+    c.push_back(RotationY(1, 0.4))
+    c.push_back(make(a))
+    return c
+
+
+class TestControlledSlots:
+    """Controlled and multi-controlled wrappers forward the wrapped
+    gate's slot: they report it, bind it, sweep it and invert it."""
+
+    @pytest.mark.parametrize("name", sorted(CONTROLLED_SLOTS))
+    def test_slot_is_reported(self, name):
+        p = Parameter("t")
+        g = CONTROLLED_SLOTS[name](p)
+        assert not g.is_bound
+        assert g.parameter is p
+        assert _controlled_circuit(CONTROLLED_SLOTS[name], p).parameters == (
+            p,
+        )
+
+    @pytest.mark.parametrize("backend", ["kernel", "sparse"])
+    @pytest.mark.parametrize("name", sorted(CONTROLLED_SLOTS))
+    def test_bind_and_sweep_match_concrete(self, name, backend):
+        make = CONTROLLED_SLOTS[name]
+        p = Parameter("t")
+        sym = _controlled_circuit(make, p)
+        opts = {"backend": backend}
+        values = [-2.3, 0.7, 1.9]
+        swept = sym.sweep({p: values}, options=opts).states
+        for i, v in enumerate(values):
+            ref = _controlled_circuit(make, v).simulate("000", opts).states[0]
+            got = sym.bind({p: v}).simulate("000", opts).states[0]
+            np.testing.assert_allclose(got, ref, atol=1e-12)
+            np.testing.assert_allclose(swept[i], ref, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(CONTROLLED_SLOTS))
+    def test_ctranspose_binds_to_concrete_inverse(self, name):
+        make = CONTROLLED_SLOTS[name]
+        p = Parameter("t")
+        inv = make(p).ctranspose()
+        assert type(inv) is type(make(p))
+        assert not inv.is_bound and inv.parameter is p
+        bound = inv.bind_parameters({p: 0.7})
+        ref = make(0.7).ctranspose()
+        assert bound == ref
+        np.testing.assert_allclose(bound.matrix, ref.matrix, atol=1e-12)
+        product = bound.matrix @ make(0.7).matrix
+        np.testing.assert_allclose(product, np.eye(len(product)), atol=1e-12)
 
 
 # -- symbolic pass semantics -------------------------------------------------

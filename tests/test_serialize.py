@@ -15,6 +15,7 @@ from repro.gates import (
     ControlledGate1,
     Hadamard,
     Identity,
+    MCGate,
     MCPhase,
     MCRotationZ,
     MCX,
@@ -67,12 +68,16 @@ class TestGateCoverage:
                        label="G"),
             ControlledGate1(SqrtX(1), 0),
             ControlledGate(iSWAP(1, 2), 0),
+            MCGate(SqrtX(3), [0, 1], [0, 1]),
         ]
         for g in gates:
             c.push_back(g)
         back = roundtrip(c)
         assert len(back) == len(c)
         assert_same_unitary(c, back)
+        for original, decoded in zip(c, back):
+            assert type(decoded) is type(original)
+            assert decoded == original
 
     def test_iswap_dagger_roundtrips(self):
         c = QCircuit(2)

@@ -5,11 +5,13 @@ Walks every module, collects public objects (modules, classes,
 functions, methods whose names do not start with ``_``), and fails
 when any of them lacks a docstring — unless it is listed in the
 baseline allowlist (``tools/docstring_baseline.txt``), which records
-the legacy debt explicitly so new code cannot add to it.
+the legacy debt explicitly so new code cannot add to it.  The gate
+also fails on stale baseline entries (names now documented or gone),
+so the allowlist can only shrink.
 
 Usage::
 
-    python tools/check_docstrings.py             # gate (exit 1 on new debt)
+    python tools/check_docstrings.py             # gate (exit 1 on new or stale debt)
     python tools/check_docstrings.py --stats     # coverage summary
     python tools/check_docstrings.py --write-baseline  # refresh allowlist
 
@@ -159,11 +161,12 @@ def main(argv=None) -> int:
         return 0
 
     new_debt = sorted(names - baseline)
-    fixed = sorted(baseline - names)
-    if fixed:
+    stale = sorted(baseline - names)
+    if stale:
         print(
-            f"note: {len(fixed)} baseline entries now documented — "
-            "remove them:\n  " + "\n  ".join(fixed)
+            f"{len(stale)} baseline entries are documented or no longer "
+            "exist — remove them from tools/docstring_baseline.txt:\n  "
+            + "\n  ".join(stale)
         )
     if new_debt:
         kinds = dict(missing)
@@ -174,6 +177,7 @@ def main(argv=None) -> int:
             "\nAdd docstrings (preferred) or, for legacy code only, "
             "add the names to tools/docstring_baseline.txt."
         )
+    if stale or new_debt:
         return 1
     print(
         f"docstring gate OK: {covered}/{total} documented, "
