@@ -9,9 +9,10 @@ Differential checks (same circuit, different engine)
       probabilities and full state vectors);
     * the exact density-matrix engine against the reference ensemble
       ``sum_b p_b |psi_b><psi_b|``;
-    * serial :func:`~repro.noise.run_trajectory` against the batched
-      engine, shot for shot, per statevector backend (the strict seed
-      contract makes this an *exact* comparison);
+    * one-shot :func:`~repro.noise.run_trajectory` runs sharing one
+      generator against ``batch_size=5`` batches, shot for shot, per
+      statevector backend (the strict seed contract makes this an
+      *exact* comparison);
     * batched trajectory counts against the exact density-matrix
       outcome distribution (binomial bound);
     * the MPS engine — exact statevector comparison for
@@ -284,7 +285,8 @@ def _trajectory_replay(backend, shots, seed):
 
 
 def _check_trajectory(case: GeneratedCase, config: OracleConfig):
-    """Serial vs batched trajectories: exact, per backend, odd batch."""
+    """One-row batches vs ``batch_size=5`` batches: exact, per
+    backend."""
     failures = []
     tol = config.tol("trajectory")
     shots = config.trajectory_shots
@@ -301,8 +303,8 @@ def _check_trajectory(case: GeneratedCase, config: OracleConfig):
                     tolerance=tol,
                     message=(
                         f"batched trajectories on {backend!r} are not "
-                        "shot-for-shot identical to the serial loop "
-                        f"({shots} shots, batch_size=5)"
+                        "shot-for-shot identical to a run_trajectory "
+                        f"loop ({shots} shots, batch_size=5)"
                     ),
                     replay=replay,
                 )

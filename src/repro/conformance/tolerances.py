@@ -43,7 +43,7 @@ __all__ = [
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "statevector": 1e-10,
     "density": 1e-9,
-    "trajectory": 0.0,  # serial vs batched is bit-exact by contract
+    "trajectory": 0.0,  # batch width never changes a shot: bit-exact
     "mps": 1e-8,
     "pass": 1e-9,
     "serialize": 1e-12,

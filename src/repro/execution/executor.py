@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from contextlib import nullcontext
 from time import perf_counter
 
 import numpy as np
@@ -58,7 +59,6 @@ from repro.observability.recorder import (
     EV_ERROR,
     EV_JOB_DONE,
     EV_JOB_SUBMIT,
-    EV_TRAJECTORY,
     record_event,
 )
 from repro.simulation.backends import get_backend
@@ -208,12 +208,27 @@ class Executor:
 
     # -- pipelines -----------------------------------------------------------
 
+    @staticmethod
+    def _plan(job: Job, backend, fuse: bool):
+        """The plan stage every pipeline shares: look up (or compile)
+        the request's plan, time it, mark the job compiled and honour
+        a cancel or an expired deadline before any work runs."""
+        opts = job.request.options
+        job._stage = "plan.get"
+        t_c = perf_counter()
+        plan, stats = get_plan(
+            job.request.circuit, backend, opts.dtype, fuse=fuse
+        )
+        job.timings.compile_seconds = perf_counter() - t_c
+        job._compiled(plan, stats)
+        job.check_cancelled()
+        return plan, stats
+
     def _run_statevector(self, job: Job, inst):
         req = job.request
         opts = req.options
-        circuit = req.circuit
         engine = get_backend(opts.backend)
-        nb_qubits = circuit.nbQubits
+        nb_qubits = req.circuit.nbQubits
         start = "0" * nb_qubits if req.start is None else req.start
         state = initial_state(start, nb_qubits, dtype=opts.dtype)
         from repro.simulation.simulate import Simulation
@@ -221,13 +236,7 @@ class Executor:
         with inst.span(
             "simulate", backend=engine.name, nb_qubits=nb_qubits
         ):
-            job._stage = "plan.get"
-            t_c = perf_counter()
-            plan, stats = get_plan(
-                circuit, engine, opts.dtype, fuse=opts.fuse
-            )
-            job.timings.compile_seconds = perf_counter() - t_c
-            job._compiled(plan, stats)
+            plan, stats = self._plan(job, engine, opts.fuse)
             # per-step cancellation only engages for deadline/cancel
             # jobs, so plain simulate() wrappers pay nothing extra
             check = (
@@ -235,8 +244,6 @@ class Executor:
                 if job.deadline is not None or job.cancelled
                 else None
             )
-            if check is not None:
-                check()
             if plan.is_parametric and req.param_values is None:
                 raise UnboundParameterError(
                     "circuit has unbound parameter(s) "
@@ -246,7 +253,7 @@ class Executor:
             # binding mutates the plan's kernels in place, so a
             # parametric plan binds AND executes under its lock;
             # non-parametric replay is read-only and runs lock-free
-            with plan.lock if plan.is_parametric else _NULL_LOCK:
+            with plan.lock if plan.is_parametric else nullcontext():
                 if plan.is_parametric:
                     # always (re-)bind: a cached plan may carry kernels
                     # from a previous binding's values
@@ -259,7 +266,6 @@ class Executor:
                     plan, state, opts.atol, inst, check=check
                 )
                 stats.execute_seconds = perf_counter() - t0
-            job._stats = stats
             job.timings.execute_seconds = stats.execute_seconds
             return Simulation(
                 nb_qubits, branches, measurements, plan.end_measured,
@@ -271,9 +277,8 @@ class Executor:
     def _run_density(self, job: Job, inst):
         req = job.request
         opts = req.options
-        circuit = req.circuit
         noise = req.noise if req.noise is not None else _trivial_noise()
-        nb_qubits = circuit.nbQubits
+        nb_qubits = req.circuit.nbQubits
         from repro.simulation.density_sim import DensitySimulation
 
         with inst.span(
@@ -281,15 +286,9 @@ class Executor:
         ) as span:
             # gate fusion would merge the per-gate channel attach
             # points away, so it is on only for trivial noise
-            use_fuse = opts.fuse and noise.is_trivial
-            job._stage = "plan.get"
-            t_c = perf_counter()
-            plan, stats = get_plan(
-                circuit, opts.backend, opts.dtype, fuse=use_fuse
+            plan, stats = self._plan(
+                job, opts.backend, opts.fuse and noise.is_trivial
             )
-            job.timings.compile_seconds = perf_counter() - t_c
-            job._compiled(plan, stats)
-            job.check_cancelled()
             span.set(backend=plan.engine.name)
             rho0 = initial_density(req.start, nb_qubits, opts.dtype)
             job._running()
@@ -299,97 +298,48 @@ class Executor:
                 plan, rho0, noise, opts.atol, inst
             )
             stats.execute_seconds = perf_counter() - t0
-            job._stats = stats
             job.timings.execute_seconds = stats.execute_seconds
             return DensitySimulation(nb_qubits, branches)
 
     def _run_trajectory(self, job: Job, inst):
-        req = job.request
-        opts = req.options
-        circuit = req.circuit
-        noise = req.noise if req.noise is not None else _trivial_noise()
-        rng = (
-            req.seed
-            if isinstance(req.seed, np.random.Generator)
-            else np.random.default_rng(req.seed)
-        )
-        nb_qubits = circuit.nbQubits
-        channels = (
-            req.channels
-            if req.channels is not None
-            else traj.channel_map(circuit, noise)
-        )
+        # one trajectory is a one-shot batch: the same plan, step loop
+        # and uniform stream as a batched run
         from repro.noise.trajectory import TrajectoryResult
 
-        t_traj = perf_counter()
-        with inst.span("trajectory", nb_qubits=nb_qubits) as span:
-            use_fuse = opts.fuse and noise.is_trivial
-            job._stage = "plan.get"
-            t_c = perf_counter()
-            plan, stats = get_plan(
-                circuit, opts.backend, opts.dtype, fuse=use_fuse
-            )
-            job.timings.compile_seconds = perf_counter() - t_c
-            job._compiled(plan, stats)
-            job.check_cancelled()
-            if inst.enabled:
-                span.set(backend=plan.engine.name)
-                inst.metrics.counter(
-                    TRAJECTORIES, "Monte-Carlo trajectories executed"
-                ).inc()
-                rng = traj.CountingRNG(rng)
-            job._running()
-            job._stage = "trajectory"
-            t0 = perf_counter()
-            result, state = traj.run_trajectory_plan(
-                plan, channels, noise, req.start, rng, inst
-            )
-            stats.execute_seconds = perf_counter() - t0
-            job._stats = stats
-            job.timings.execute_seconds = stats.execute_seconds
-            if isinstance(rng, traj.CountingRNG) and rng.draws:
-                inst.metrics.counter(
-                    RNG_DRAWS, "random draws consumed"
-                ).inc(rng.draws)
-            record_event(
-                EV_TRAJECTORY,
-                nq=nb_qubits,
-                ns=int((perf_counter() - t_traj) * 1e9),
-            )
-            return TrajectoryResult(result=result, state=state)
+        batch = self._trajectories(job, inst, 1, keep_states=True)
+        return TrajectoryResult(
+            result=batch.results[0], state=batch.states[0]
+        )
 
     def _run_trajectory_batch(self, job: Job, inst):
         req = job.request
+        return self._trajectories(
+            job, inst, int(req.shots), bool(req.return_states)
+        )
+
+    def _trajectories(self, job: Job, inst, shots: int, keep_states: bool):
+        """The trajectory pipeline: ``shots`` noisy shots through
+        :func:`~repro.execution.trajectory.execute_batch`, as a
+        :class:`~repro.noise.trajectory.BatchedTrajectoryResult` that
+        holds the final states when ``keep_states``."""
+        req = job.request
         opts = req.options
         circuit = req.circuit
         noise = req.noise if req.noise is not None else _trivial_noise()
-        shots = int(req.shots)
         rng = (
             req.seed
             if isinstance(req.seed, np.random.Generator)
             else np.random.default_rng(req.seed)
         )
         nb_qubits = circuit.nbQubits
-        return_states = bool(req.return_states)
         from repro.noise.trajectory import BatchedTrajectoryResult
 
         with inst.span(
             "batch.trajectories", shots=shots, nb_qubits=nb_qubits
         ) as span:
             use_fuse = opts.fuse and noise.is_trivial
-            job._stage = "plan.get"
-            t_c = perf_counter()
-            plan, stats = get_plan(
-                circuit, opts.backend, opts.dtype, fuse=use_fuse
-            )
-            job.timings.compile_seconds = perf_counter() - t_c
-            job._compiled(plan, stats)
-            job.check_cancelled()
-            channels = (
-                req.channels
-                if req.channels is not None
-                else traj.channel_map(circuit, noise)
-            )
+            plan, stats = self._plan(job, opts.backend, use_fuse)
+            channels = traj.channel_map(circuit, noise)
             draws_per_shot = traj.draws_per_shot(plan, channels, noise)
             batch_size = opts.batch_size or traj.default_batch_size(
                 shots, nb_qubits
@@ -397,7 +347,7 @@ class Executor:
             sizes = [
                 min(batch_size, shots - done)
                 for done in range(0, shots, batch_size)
-            ] or []
+            ]
             # the parent owns the stream: every batch's uniforms are
             # drawn here, in order, so workers receive randomness
             # instead of seeds
@@ -460,7 +410,7 @@ class Executor:
                 child_opts = opts.replace(trace=None, metrics=None)
                 payloads = [
                     (circuit, noise, channels, req.start, child_opts,
-                     use_fuse, block, return_states)
+                     use_fuse, block, keep_states)
                     for block in draw_blocks
                 ]
                 t_pool = perf_counter()
@@ -471,7 +421,7 @@ class Executor:
                         traj.batch_worker, payloads
                     ):
                         results.extend(res)
-                        if return_states:
+                        if keep_states:
                             state_blocks.append(states)
                 # child processes own their rings; one parent-side
                 # event summarizes the whole fan-out
@@ -498,10 +448,9 @@ class Executor:
                         ns=int((perf_counter() - t_block) * 1e9),
                     )
                     results.extend(res)
-                    if return_states:
+                    if keep_states:
                         state_blocks.append(states)
             stats.execute_seconds = perf_counter() - t_exec
-            job._stats = stats
             job.timings.execute_seconds = stats.execute_seconds
 
             return BatchedTrajectoryResult(
@@ -511,7 +460,7 @@ class Executor:
                 workers=workers,
                 states=(
                     np.concatenate(state_blocks, axis=0)
-                    if return_states and state_blocks
+                    if keep_states and state_blocks
                     else None
                 ),
             )
@@ -521,26 +470,18 @@ class Executor:
         opts = req.options
         from repro.simulation.sweep import SweepResult
 
-        job._stage = "plan.get"
-        t_c = perf_counter()
-        plan, stats = get_plan(
-            req.circuit, opts.backend, opts.dtype, fuse=opts.fuse
-        )
-        job.timings.compile_seconds = perf_counter() - t_c
-        job._compiled(plan, stats)
-        job.check_cancelled()
+        plan, stats = self._plan(job, opts.backend, opts.fuse)
         job._running()
         job._stage = "param.sweep"
         t0 = perf_counter()
         # a sweep never mutates the plan's bound kernels (it broadcasts
         # the value columns per step), but it must not interleave with a
         # concurrent bind+execute on the same cached plan object
-        with plan.lock if plan.is_parametric else _NULL_LOCK:
+        with plan.lock if plan.is_parametric else nullcontext():
             states = plan.sweep(
                 req.values, parameters=req.parameters, start=req.start
             )
         stats.execute_seconds = perf_counter() - t0
-        job._stats = stats
         job.timings.execute_seconds = stats.execute_seconds
         return SweepResult(states, plan.parameters, stats)
 
@@ -550,19 +491,6 @@ class Executor:
                 f"Executor(submitted={self._submitted}, "
                 f"completed={self._completed}, failed={self._failed})"
             )
-
-
-class _NullLock:
-    """No-op context manager for the lock-free (read-only) replay path."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_LOCK = _NullLock()
 
 
 def _trivial_noise():

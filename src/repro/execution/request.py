@@ -65,10 +65,6 @@ class ExecutionRequest:
     noise:
         A :class:`~repro.noise.NoiseModel` for density/trajectory
         pipelines (``None`` = noiseless).
-    channels:
-        Optional precomputed ``{gate class: NoiseChannel}`` map — the
-        trajectory pipelines build it from ``noise`` when absent;
-        callers running many shots pass one to amortize the IR pass.
     shots:
         Shot count for ``TRAJECTORY_BATCH`` requests.
     values, parameters:
@@ -86,7 +82,6 @@ class ExecutionRequest:
     seed: Any = None
     param_values: Optional[dict] = None
     noise: Any = None
-    channels: Optional[dict] = None
     shots: int = 0
     values: Any = None
     parameters: Any = None

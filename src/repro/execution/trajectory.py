@@ -1,23 +1,19 @@
-"""Monte-Carlo trajectory dispatch — serial and batched step loops.
+"""Monte-Carlo trajectory dispatch — the one trajectory step loop.
 
 Moved here from :mod:`repro.noise.trajectory` so the execution core
-owns every plan-replay loop.  Two engines share this module:
+owns every plan-replay loop.  :func:`execute_batch` runs ``B`` shots
+as one ``(B, 2**n)`` array: every compiled plan step executes once
+across the whole batch and all stochastic choices (Kraus selection,
+measurement collapse, readout flips) are vectorized over the batch
+axis.  A single trajectory is a one-row batch.
 
-:func:`run_trajectory_plan`
-    One shot, one ``(2**n,)`` state — the reference path.
-
-:func:`execute_batch`
-    ``B`` shots as one ``(B, 2**n)`` array; every compiled plan step
-    executes once across the whole batch and all stochastic choices
-    (Kraus selection, measurement collapse, readout flips) are
-    vectorized over the batch axis.
-
-Both consume the SAME underlying uniform stream in the same order, so
-for a fixed seed the batched engine is shot-for-shot reproducible
-against a serial loop sharing one generator —
-:func:`draws_per_shot` states the contract.  The public entry points
-and result objects stay in ``repro.noise.trajectory``; this module
-returns raw outcome strings and states.
+Shot ``i`` consumes uniforms ``[i*D, (i+1)*D)`` of the seed stream
+(:func:`draws_per_shot` states the contract), so for a fixed seed the
+outcomes do not depend on the batch size or the worker count, and a
+loop of one-shot runs sharing one generator reproduces a batched run
+shot for shot.  The public entry points and result objects stay in
+``repro.noise.trajectory``; this module returns raw outcome strings
+and states.
 
 Deliberately imports nothing from :mod:`repro.noise` at module level
 (the noise model arrives duck-typed) — ``repro.noise.trajectory``
@@ -38,13 +34,11 @@ from repro.simulation.plan import GATE, MEASURE, get_plan
 from repro.simulation.state import initial_state
 
 __all__ = [
-    "run_trajectory_plan",
     "execute_batch",
     "batch_worker",
     "channel_map",
     "draws_per_shot",
     "default_batch_size",
-    "CountingRNG",
 ]
 
 #: Auto batch sizing: keep one batch around this many amplitudes ...
@@ -53,21 +47,6 @@ BATCH_TARGET_ELEMS = 1 << 22
 BATCH_MAX_ROWS = 4096
 
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-
-
-class CountingRNG:
-    """Thin proxy counting ``random()`` draws (instrumented runs)."""
-
-    __slots__ = ("rng", "draws")
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.draws = 0
-
-    def random(self):
-        """One uniform draw from the wrapped generator, counted."""
-        self.draws += 1
-        return self.rng.random()
 
 
 def channel_map(circuit, noise) -> dict:
@@ -107,11 +86,11 @@ def default_batch_size(shots: int, nb_qubits: int) -> int:
 def draws_per_shot(plan, channels: dict, noise) -> int:
     """Uniform variates one trajectory consumes, in plan order.
 
-    This is the contract that keeps the batched engine shot-for-shot
-    reproducible against the serial loop: every shot consumes a FIXED
-    number of draws (Kraus sites with >1 operator, measurements,
-    readout checks, resets), so shot ``i`` owns variates
-    ``[i*D, (i+1)*D)`` of the stream in both engines.
+    This is the contract that keeps trajectories shot-for-shot
+    reproducible at any batch size: every shot consumes a FIXED number
+    of draws (Kraus sites with >1 operator, measurements, readout
+    checks, resets), so shot ``i`` owns variates ``[i*D, (i+1)*D)`` of
+    the stream however the shots are batched.
     """
     draws = 0
     readout = 1 if noise.readout_error > 0.0 else 0
@@ -128,10 +107,7 @@ def draws_per_shot(plan, channels: dict, noise) -> int:
     return draws
 
 
-# -- stochastic steps, shared by both engines --------------------------------
-#
-# Both act on a ``(B, dim)`` batch; the serial engine passes its state
-# as one row, so a row's arithmetic is the same in both engines.
+# -- stochastic steps --------------------------------------------------------
 
 
 def _apply_channel(engine, states, channel, qubit, nb_qubits, r):
@@ -200,84 +176,7 @@ def _reset(engine, states, qubit, nb_qubits, r):
     return outcomes, states
 
 
-# -- the serial engine -------------------------------------------------------
-
-
-def run_trajectory_plan(plan, channels, noise, start, rng, inst=None):
-    """Sample ONE noisy path through a compiled plan.
-
-    Returns ``(result, state)`` — the recorded outcome string and the
-    final ``(2**n,)`` state.  With an enabled ``inst`` every step is
-    timed once, around its own work, and accounted through a
-    :class:`~repro.execution.dispatch.StepMeter`: the gate apply under
-    its gate kind, each attached channel under ``kraus``, collapses in
-    the measurement histogram.
-    """
-    engine = plan.engine
-    nb_qubits = plan.nb_qubits
-    if start is None:
-        start = "0" * nb_qubits
-    state = initial_state(start, nb_qubits, dtype=plan.dtype)
-    outcomes = []
-    meter = step_meter(inst, engine)
-
-    for step in plan.steps:
-        if meter is not None:
-            t0 = perf_counter()
-        if step.kind == GATE:
-            state = engine.apply_planned(state, step, nb_qubits)
-            if meter is not None:
-                dt = perf_counter() - t0
-                meter.kernel(
-                    step_kind(step), 1,
-                    engine.planned_bytes(step, state, nb_qubits), dt,
-                )
-            channel = channels.get(type(step.op))
-            if channel is not None:
-                needs_draw = len(channel.kraus) > 1
-                for q in step.noise_qubits:
-                    if meter is not None:
-                        t0 = perf_counter()
-                    r = np.array([rng.random()]) if needs_draw else None
-                    rows, nbytes = _apply_channel(
-                        engine, state[None, :], channel, q, nb_qubits, r
-                    )
-                    state = rows[0]
-                    if meter is not None:
-                        dt = perf_counter() - t0
-                        meter.kernel(KRAUS, 1, nbytes, dt)
-            continue
-        if step.kind == MEASURE:
-            outcome, rows = _sample_measurement(
-                engine, state[None, :], step.op, step.qubit, nb_qubits,
-                np.array([rng.random()]),
-            )
-            outcome, state = int(outcome[0]), rows[0]
-            if noise.readout_error > 0.0 and (
-                rng.random() < noise.readout_error
-            ):
-                outcome = 1 - outcome
-            outcomes.append(str(outcome))
-            if meter is not None:
-                meter.collapse("measure", perf_counter() - t0)
-            continue
-        # RESET
-        outcome, rows = _reset(
-            engine, state[None, :], step.qubit, nb_qubits,
-            np.array([rng.random()]),
-        )
-        outcome, state = int(outcome[0]), rows[0]
-        if step.op.record:
-            outcomes.append(str(outcome))
-        if meter is not None:
-            meter.collapse("reset", perf_counter() - t0)
-    if meter is not None:
-        meter.flush()
-
-    return "".join(outcomes), state
-
-
-# -- the batched engine ------------------------------------------------------
+# -- the step loop -----------------------------------------------------------
 
 
 def _bit_matrix_to_strings(columns: list, batch: int) -> List[str]:
@@ -292,11 +191,14 @@ def execute_batch(plan, channels, noise, start, draws, dtype, inst=None):
     """Run one batch of trajectories through a compiled plan.
 
     ``draws`` is the pre-drawn ``(B, draws_per_shot)`` uniform matrix;
-    column ``j`` holds every row's ``j``-th stochastic choice, matching
-    the serial engine's shot-major consumption of the same stream.
-    With an enabled ``inst`` each step is timed once, around its own
-    work, and accounted as ``B`` applies (see
-    :func:`run_trajectory_plan`).
+    column ``j`` holds every row's ``j``-th stochastic choice, so the
+    stream is consumed shot-major.  Returns ``(results, states)``: the
+    per-shot outcome strings and the final ``(B, 2**n)`` states.  With
+    an enabled ``inst`` every step is timed once, around its own work,
+    and accounted through a
+    :class:`~repro.execution.dispatch.StepMeter` as ``B`` applies: the
+    gate apply under its gate kind, each attached channel under
+    ``kraus``, collapses in the measurement histogram.
     """
     engine = plan.engine
     nb_qubits = plan.nb_qubits

@@ -314,6 +314,30 @@ def controlled_matrix(
     return full
 
 
+#: Diagonal runs merge (plan fusion, the IR ``coalesce_diagonals``
+#: pass) while their qubit union stays this small.
+MAX_DIAG_QUBITS = 4
+
+
+def folded_diag(kernel, targets, controls, control_states):
+    """``(qubits, diagonal)`` of a diagonal gate with its controls
+    folded in.
+
+    A controlled gate with a diagonal kernel is itself diagonal on the
+    ascending union of controls and targets (ones on the non-matching
+    subspace); an uncontrolled one is its kernel's diagonal on
+    ``targets``.
+    """
+    if not controls:
+        return targets, np.ascontiguousarray(np.diag(kernel))
+    qubits_all = tuple(sorted(targets + controls))
+    full = controlled_matrix(
+        kernel, qubits_all, list(controls), list(control_states),
+        list(targets),
+    )
+    return qubits_all, np.ascontiguousarray(np.diag(full))
+
+
 def validate_unitary(matrix: np.ndarray, what: str = "gate") -> np.ndarray:
     """Coerce to a complex ndarray and require unitarity."""
     m = np.asarray(matrix, dtype=np.complex128)

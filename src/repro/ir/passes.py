@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.exceptions import GateError
-from repro.gates.base import QGate, controlled_matrix
+from repro.gates.base import MAX_DIAG_QUBITS, QGate, folded_diag
 from repro.gates.parametric import Phase, RotationGate1, RotationGate2
 from repro.ir.lower import lower, make_ir_op
 from repro.ir.program import BLOCK, GATE, IRError, IROp, IRProgram
@@ -63,10 +63,6 @@ __all__ = [
     "coalesce_diagonals",
     "InjectNoise",
 ]
-
-#: Diagonal runs are coalesced while their qubit union stays this small.
-MAX_DIAG_COALESCE_QUBITS = 4
-
 
 # -- the adjacency engine ----------------------------------------------------
 
@@ -230,21 +226,6 @@ def merge_single_qubit_runs(program: IRProgram) -> IRProgram:
     return _adjacent_pairs(program, combine, "fuse_1q")
 
 
-def _op_diag(irop: IROp):
-    """``(absolute qubits, diagonal)`` of a diagonal gate op, with
-    controls folded in (a controlled diagonal kernel is itself diagonal
-    on the control+target union)."""
-    kernel = irop.kernel()
-    if not irop.controls:
-        return irop.targets, np.ascontiguousarray(np.diag(kernel))
-    qubits_all = tuple(sorted(irop.targets + irop.controls))
-    full = controlled_matrix(
-        kernel, qubits_all, list(irop.controls),
-        list(irop.control_states), list(irop.targets),
-    )
-    return qubits_all, np.ascontiguousarray(np.diag(full))
-
-
 def coalesce_diagonals(program: IRProgram) -> IRProgram:
     """Merge runs of diagonal gates into single diagonal
     :class:`~repro.gates.MatrixGate` s.
@@ -253,7 +234,7 @@ def coalesce_diagonals(program: IRProgram) -> IRProgram:
     disjoint qubits, so a run may extend past disjoint non-diagonal
     gates; it is flushed by measurements, resets, barriers, blocks, or
     a non-diagonal gate sharing a qubit.  Runs merge only while the
-    qubit union stays within ``MAX_DIAG_COALESCE_QUBITS``.
+    qubit union stays within ``MAX_DIAG_QUBITS``.
     """
     from repro.gates import MatrixGate
 
@@ -269,7 +250,10 @@ def coalesce_diagonals(program: IRProgram) -> IRProgram:
             union = tuple(sorted(pending_qubits))
             diag = np.ones(1 << len(union), dtype=np.complex128)
             for irop in pending:
-                qs, d = _op_diag(irop)
+                qs, d = folded_diag(
+                    irop.kernel(), irop.targets, irop.controls,
+                    irop.control_states,
+                )
                 diag = diag * expand_diag(d, qs, union, np.complex128)
             merged = MatrixGate(union, np.diag(diag), label="D")
             ops.append(make_ir_op(merged, 0))
@@ -279,7 +263,7 @@ def coalesce_diagonals(program: IRProgram) -> IRProgram:
     for irop in program.ops:
         if irop.kind == GATE and irop.is_diagonal and irop.is_bound:
             union = pending_qubits | set(irop.qubits)
-            if len(union) > MAX_DIAG_COALESCE_QUBITS:
+            if len(union) > MAX_DIAG_QUBITS:
                 flush()
                 union = set(irop.qubits)
             pending.append(irop)

@@ -8,22 +8,21 @@ with probability ``||K_i psi||^2``.  Averaging over shots reproduces
 the open-system statistics exactly, at state-vector cost per shot.
 
 Two entry points share this module — both thin wrappers submitting a
-request to the unified execution core (the sampling loops themselves
-live in :mod:`repro.execution.trajectory`):
+request to the unified execution core, whose one step loop
+(:func:`repro.execution.trajectory.execute_batch`) runs every shot:
 
 :func:`run_trajectory`
-    One shot, one ``(2**n,)`` state — the reference path.
+    One shot, one ``(2**n,)`` state: a one-shot batch.
 
 :func:`run_trajectories_batched`
     ``B`` shots as a single ``(B, 2**n)`` array; every compiled plan
     step executes ONCE across the whole batch and all stochastic
     choices (Kraus selection, measurement collapse, readout flips) are
     vectorized over the batch axis.  Shot counts beyond one batch fan
-    out over worker processes.  The batched engine consumes the SAME
-    underlying uniform stream as a serial :func:`run_trajectory` loop
-    sharing one generator, in the same order, so for a fixed seed it is
-    shot-for-shot reproducible against the serial path and independent
-    of ``batch_size`` and ``max_workers``.
+    out over worker processes.  Shot ``i`` consumes its own fixed
+    slice of the seed stream, so for a fixed seed the outcomes are
+    independent of ``batch_size`` and ``max_workers``, and identical
+    to a loop of :func:`run_trajectory` calls sharing one generator.
 """
 
 from __future__ import annotations
@@ -92,7 +91,6 @@ def run_trajectory(
     start=None,
     backend=None,
     options: Optional[SimulationOptions] = None,
-    _channels: Optional[dict] = None,
 ) -> TrajectoryResult:
     """Sample a single noisy run of ``circuit``.
 
@@ -131,7 +129,6 @@ def run_trajectory(
             options=opts,
             seed=rng,
             noise=noise,
-            channels=_channels,
         )
     )
     return job.result()
@@ -213,8 +210,9 @@ def noisy_counts(
     (:func:`run_trajectories_batched`): all shots replay one compiled
     plan and each plan step runs once per ``(B, 2**n)`` batch, so the
     per-shot cost is linear algebra rather than interpreter overhead.
-    For a fixed seed the histogram is identical to the historical
-    serial loop's, independent of ``batch_size``/``max_workers``.  The
+    For a fixed seed the histogram is identical to a
+    :func:`run_trajectory` loop's, independent of
+    ``batch_size``/``max_workers``.  The
     returned dict is insertion-ordered by bitstring.
     """
     rng = (

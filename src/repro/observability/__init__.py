@@ -106,7 +106,6 @@ from repro.observability.recorder import (
     EV_PLAN_SWEEP,
     EV_STATE_HIGHWATER,
     EV_STEP_DISPATCH,
-    EV_TRAJECTORY,
     FlightRecorder,
     RecorderEvent,
     flight_recorder,
@@ -146,7 +145,6 @@ __all__ = [
     "EV_STEP_DISPATCH",
     "EV_BATCH_EXECUTE",
     "EV_BATCH_FANOUT",
-    "EV_TRAJECTORY",
     "EV_STATE_HIGHWATER",
     "EV_JOB_SUBMIT",
     "EV_JOB_DONE",

@@ -52,7 +52,6 @@ __all__ = [
     "EV_STEP_DISPATCH",
     "EV_BATCH_EXECUTE",
     "EV_BATCH_FANOUT",
-    "EV_TRAJECTORY",
     "EV_STATE_HIGHWATER",
     "EV_JOB_SUBMIT",
     "EV_JOB_DONE",
@@ -87,8 +86,6 @@ EV_BATCH_EXECUTE = "batch.execute"
 #: Fan-out decision for a trajectory batch (payload: shots, requested,
 #: workers, floor, inline).
 EV_BATCH_FANOUT = "batch.fanout"
-#: One serial trajectory executed (payload: nq, ns).
-EV_TRAJECTORY = "trajectory"
 #: Statevector allocation high-water mark rose (payload: bytes,
 #: branches).
 EV_STATE_HIGHWATER = "state.highwater"

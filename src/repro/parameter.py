@@ -112,7 +112,7 @@ class ParameterExpression:
     def __init__(self, param: Parameter, scale: float = 1.0,
                  offset: float = 0.0):
         if isinstance(param, ParameterExpression):
-            offset = param._offset + scale * 0.0 + offset
+            offset = scale * param._offset + offset
             scale, param = scale * param._scale, param._param
         if not isinstance(param, Parameter):
             raise UnboundParameterError(

@@ -39,7 +39,7 @@ import numpy as np
 from repro.circuit.circuit import QCircuit
 from repro.circuit.measurement import Measurement
 from repro.exceptions import SimulationError, UnboundParameterError
-from repro.gates.base import controlled_matrix
+from repro.gates.base import MAX_DIAG_QUBITS, folded_diag
 from repro.ir.lower import lower
 from repro.ir.program import BARRIER as IR_BARRIER
 from repro.ir.program import GATE as IR_GATE
@@ -80,10 +80,6 @@ __all__ = [
 
 #: Plan-step kinds.
 GATE, MEASURE, RESET = 0, 1, 2
-
-#: Diagonal runs are coalesced while their qubit union stays this small.
-MAX_DIAG_FUSE_QUBITS = 4
-
 
 class PlanStep:
     """One executable step of a :class:`CompiledPlan`.
@@ -392,22 +388,6 @@ def circuit_signature(circuit: QCircuit) -> tuple:
 # -- fusion ------------------------------------------------------------------
 
 
-def _folded_diag(step):
-    """``(qubits, diag)`` of a diagonal step with controls folded in.
-
-    A controlled gate with a diagonal kernel is itself diagonal on the
-    union of controls and targets (ones on the non-matching subspace).
-    """
-    if not step.controls:
-        return step.targets, step.diag
-    qubits_all = tuple(sorted(step.targets + step.controls))
-    full = controlled_matrix(
-        step.kernel, qubits_all, list(step.controls),
-        list(step.control_states), list(step.targets),
-    )
-    return qubits_all, np.ascontiguousarray(np.diag(full))
-
-
 def _merge_1q(prev: PlanStep, cur: PlanStep) -> None:
     """Merge uncontrolled one-qubit ``cur`` into ``prev`` (same target);
     ``prev`` acts first, so the merged kernel is ``cur @ prev``."""
@@ -424,13 +404,17 @@ def _merge_1q(prev: PlanStep, cur: PlanStep) -> None:
 def _merge_diag(prev: PlanStep, cur: PlanStep) -> bool:
     """Coalesce diagonal ``cur`` into diagonal ``prev`` when the union
     qubit set stays small; ``True`` on success."""
-    pq, pd = _folded_diag(prev)
-    cq, cd = _folded_diag(cur)
+    pq, pd = folded_diag(
+        prev.kernel, prev.targets, prev.controls, prev.control_states
+    )
+    cq, cd = folded_diag(
+        cur.kernel, cur.targets, cur.controls, cur.control_states
+    )
     if max(len(pq), len(cq)) < 2:
         return False  # plain 1q diagonals on distinct qubits: the
         # strided per-qubit multiply beats a gathered union step
     union = tuple(sorted(set(pq) | set(cq)))
-    if len(union) > MAX_DIAG_FUSE_QUBITS:
+    if len(union) > MAX_DIAG_QUBITS:
         return False
     dtype = prev.kernel.dtype
     d = expand_diag(pd, pq, union, dtype) * expand_diag(

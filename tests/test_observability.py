@@ -8,9 +8,9 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from repro.circuit import Measurement, QCircuit
+from repro.circuit import Measurement, QCircuit, Reset
 from repro.gates import CNOT, CZ, Hadamard, RotationX, RotationZ
-from repro.noise import NoiseModel, noisy_counts
+from repro.noise import Depolarizing, NoiseModel, noisy_counts, run_trajectory
 from repro.observability import (
     GATE_APPLIES,
     KERNEL_BYTES,
@@ -452,6 +452,57 @@ class TestSimulationHooks:
             assert sim.report().metrics.counter(GATE_APPLIES).value(
                 backend=backend, kind="1q"
             ) >= 1
+
+
+# -- one trajectory: counters and stream consumption -------------------------
+
+
+def noisy_reset_circuit():
+    c = QCircuit(3)
+    c.push_back(Hadamard(0))
+    c.push_back(CNOT(0, 1))
+    c.push_back(RotationX(2, 0.4))
+    c.push_back(Measurement(0, "x"))
+    c.push_back(Reset(1, record=True))
+    c.push_back(CZ(1, 2))
+    c.push_back(Measurement(1))
+    c.push_back(Measurement(2))
+    return c
+
+
+def noisy_model():
+    return NoiseModel(gate_noise=Depolarizing(0.2), readout_error=0.05)
+
+
+def expected_draws(circuit, noise):
+    """Uniforms one trajectory consumes: the per-shot draw contract."""
+    from repro.execution.trajectory import channel_map, draws_per_shot
+    from repro.simulation import compile_circuit
+
+    # noisy runs compile unfused: channels attach per source gate
+    plan = compile_circuit(circuit, fuse=False)
+    return draws_per_shot(plan, channel_map(circuit, noise), noise)
+
+
+class TestSingleTrajectoryAccounting:
+    def test_instrumented_trajectory_counts_one_shot_and_its_draws(self):
+        circuit, noise = noisy_reset_circuit(), noisy_model()
+        draws = expected_draws(circuit, noise)
+        assert draws > 0
+        with instrument() as inst:
+            run_trajectory(circuit, noise, rng=11)
+        assert inst.metrics.counter(TRAJECTORIES).total() == 1
+        assert inst.metrics.counter(RNG_DRAWS).total() == draws
+
+    def test_trajectory_advances_generator_by_draws_per_shot(self):
+        circuit, noise = noisy_reset_circuit(), noisy_model()
+        draws = expected_draws(circuit, noise)
+        g = np.random.default_rng(2024)
+        run_trajectory(circuit, noise, rng=g)
+        fresh = np.random.default_rng(2024)
+        fresh.random(draws)
+        assert g.bit_generator.state == fresh.bit_generator.state
+        assert g.random() == fresh.random()
 
 
 # -- acceptance: Grover profile + trace ---------------------------------------

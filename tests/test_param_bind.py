@@ -143,6 +143,16 @@ class TestParameterExpressions:
         assert (expr - 0.5).resolve({p: 2.0}) == pytest.approx(4.0)
         assert (p / 2).resolve({p: 3.0}) == pytest.approx(1.5)
 
+    def test_nested_expression_scales_inner_offset(self):
+        # 2 * (p + 0.5) + 0.25 == 2p + 1.25
+        p = Parameter("theta")
+        inner = ParameterExpression(p, 1.0, 0.5)
+        assert ParameterExpression(inner, 2.0).resolve({p: 1.0}) == 3.0
+        outer = ParameterExpression(inner, 2.0, 0.25)
+        assert outer.parameter is p
+        assert outer.resolve({p: 0.0}) == pytest.approx(1.25)
+        assert outer.resolve({p: 1.0}) == pytest.approx(3.25)
+
     def test_distinct_slots_same_name(self):
         a, b = Parameter("x"), Parameter("x")
         assert a != b

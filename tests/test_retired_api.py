@@ -4,12 +4,15 @@
 simulation keywords (and ``counts(backend=)``) raise ``TypeError``.
 Parametric gates are value-immutable, so assigning ``theta``, ``angle``
 or ``rotation`` raises ``AttributeError``; ``bind()``/``sweep()``
-evaluate a circuit at new angles instead.
+evaluate a circuit at new angles instead.  The trajectory pipelines
+build their channel map from the noise model, so a precomputed map has
+no way in.
 """
 
 import pytest
 
 from repro.circuit import Measurement, QCircuit
+from repro.execution import ExecutionRequest
 from repro.gates import (
     CNOT,
     CPhase,
@@ -19,6 +22,7 @@ from repro.gates import (
     RotationX,
     RotationXX,
 )
+from repro.noise import run_trajectory
 from repro.parameter import Parameter
 from repro.simulation import simulate, simulate_density
 
@@ -85,6 +89,12 @@ RETIRED = {
     ),
     "CRotationX.theta": (
         AttributeError, lambda: setattr(CRotationX(0, 1, 0.1), "theta", 0.9)
+    ),
+    "ExecutionRequest-channels": (
+        TypeError, lambda: ExecutionRequest(bell(), channels={})
+    ),
+    "run_trajectory-_channels": (
+        TypeError, lambda: run_trajectory(bell(), _channels={})
     ),
 }
 
