@@ -13,7 +13,9 @@ biases toward the structures that historically broke backends —
 non-adjacent qubit pairs, open (``control_state=0``) controls,
 diagonal runs (fusion fodder), adjacent inverse pairs (cancellation
 fodder), random-unitary ``MatrixGate`` s, and nested blocks with
-non-zero offsets.
+non-zero offsets.  Every fourth non-Clifford seed is a *brickwork*
+circuit instead — rotation layers between layers of entanglers on
+adjacent qubits, the runs plan fusion merges into dense blocks.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ class GeneratedCase:
     #: Every measurement is Z-basis and no reset records its outcome
     #: (QASM round-trip preserves semantics only then).
     qasm_safe: bool
-    #: Human-readable universe tag ('clifford' or 'full').
+    #: Human-readable universe tag ('clifford', 'brickwork' or 'full').
     universe: str = "full"
     #: ``(Parameter, baseline_value)`` pairs of a parametric case, in
     #: slot-creation order; empty for concrete cases.
@@ -311,6 +313,48 @@ def _full_gate(
     return MatrixGate(qs, _random_unitary(rng, 1 << k), label="R")
 
 
+def _push_brickwork(
+    circuit: QCircuit, rng: np.random.Generator, nb_layers: int,
+    params_out=None,
+) -> None:
+    """Layers of one-qubit rotations, each followed by entanglers on
+    alternating adjacent pairs ``(q, q+1)`` in a random direction."""
+    n = circuit.nbQubits
+    for layer in range(nb_layers):
+        for q in range(n):
+            roll = int(rng.integers(0, 4))
+            theta = float(rng.normal(scale=1.5))
+            if roll == 3:
+                circuit.push_back(U3(
+                    q, theta, float(rng.normal(scale=1.5)),
+                    float(rng.normal(scale=1.5)),
+                ))
+                continue
+            circuit.push_back((RotationX, RotationY, RotationZ)[roll](
+                q, _sym(rng, theta, params_out)
+            ))
+        for q in range(layer % 2, n - 1, 2):
+            a, b = (q, q + 1) if rng.random() < 0.5 else (q + 1, q)
+            roll = int(rng.integers(0, 7))
+            theta = float(rng.normal(scale=1.5))
+            if roll == 0:
+                circuit.push_back(CNOT(a, b))
+            elif roll == 1:
+                circuit.push_back(CZ(a, b))
+            elif roll == 2:
+                circuit.push_back(CPhase(a, b, theta))
+            elif roll == 3:
+                circuit.push_back(iSWAP(q, q + 1))
+            elif roll == 4:
+                circuit.push_back(RotationXX(q, q + 1, theta))
+            elif roll == 5:
+                circuit.push_back(SWAP(q, q + 1))
+            else:
+                circuit.push_back(
+                    MatrixGate([q, q + 1], _random_unitary(rng, 4), "R")
+                )
+
+
 def _random_block(
     rng: np.random.Generator, n: int, config: GeneratorConfig, clifford: bool
 ) -> QCircuit:
@@ -354,11 +398,16 @@ def generate_case(
         and rng.random() < config.parametric_fraction
     )
     params_out: Optional[list] = [] if parametric else None
+    # keyed on the seed, not drawn, so the other seeds keep their
+    # historical streams
+    brickwork = not clifford and seed % 4 == 3
 
     circuit = QCircuit(n)
     recorded = 0
     qasm_safe = True
-    for _ in range(nb_ops):
+    if brickwork:
+        _push_brickwork(circuit, rng, max(1, nb_ops // n), params_out)
+    for _ in range(0 if brickwork else nb_ops):
         roll = float(rng.random())
         if roll < config.p_measure and recorded < config.max_recorded:
             q = int(rng.integers(0, n))
@@ -423,7 +472,10 @@ def generate_case(
         nb_recorded=recorded,
         two_local=two_local,
         qasm_safe=qasm_safe,
-        universe="clifford" if clifford else "full",
+        universe=(
+            "clifford" if clifford else "brickwork" if brickwork
+            else "full"
+        ),
         parameters=parameters,
         symbolic=symbolic,
     )

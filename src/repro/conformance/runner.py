@@ -27,6 +27,7 @@ from repro.observability.metrics import (
     CONFORMANCE_CIRCUITS,
     CONFORMANCE_FAILURES,
 )
+from repro.simulation.plan import get_plan
 
 from repro.conformance.generator import GeneratorConfig, generate_case
 from repro.conformance.oracle import OracleConfig, run_oracle
@@ -45,6 +46,10 @@ class ConformanceReport:
     failures: List[ShrunkFailure] = field(default_factory=list)
     seconds: float = 0.0
     seed_start: int = 0
+    #: Gates merged into dense blocks by the fused ``kernel`` plans of
+    #: the generated circuits: zero means the run never exercised the
+    #: block rule of plan fusion.
+    nb_block_merged: int = 0
 
     @property
     def ok(self) -> bool:
@@ -65,6 +70,7 @@ class ConformanceReport:
             "nb_circuits": self.nb_circuits,
             "nb_checks": self.nb_checks,
             "nb_failures": len(self.failures),
+            "nb_block_merged": self.nb_block_merged,
             "seconds": self.seconds,
             "circuits_per_second": self.circuits_per_second,
             "failures": [f.to_dict() for f in self.failures],
@@ -77,6 +83,7 @@ class ConformanceReport:
             f"conformance: {status} — {self.nb_circuits} circuit(s), "
             f"{self.nb_checks} check group(s) over seeds "
             f"[{self.seed_start}, {self.seed_start + self.nb_seeds}) "
+            f"with {self.nb_block_merged} block merge(s) "
             f"in {self.seconds:.1f}s "
             f"({self.circuits_per_second:.1f} circuits/s)"
         )
@@ -146,6 +153,9 @@ def run_conformance(
             with inst.span("conformance.seed", seed=seed):
                 case = generate_case(seed, generator)
                 failures, nb_checks = run_oracle(case, oracle)
+                # the oracle's fused kernel reference: a cache hit
+                plan, _ = get_plan(case.circuit)
+            report.nb_block_merged += plan.stats.nb_block_merged
             report.nb_circuits += 1
             report.nb_checks += nb_checks
             if inst.enabled:

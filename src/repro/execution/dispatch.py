@@ -285,10 +285,15 @@ def run_plan(plan, state, atol, inst=None, check=None):
     request timeout interrupts a simulation *mid-execution*.  ``None``
     (every ordinary run) costs nothing.
 
-    Either way every step appends one ``step.dispatch`` event (op
-    kind, qubit count, wall ns, branch count) to the always-on flight
+    Either way every step adds one ``step.dispatch`` event (op kind,
+    qubit count, wall ns, branch count) to the always-on flight
     recorder — an O(1) ring append per *step*, not per branch, so the
     overhead stays in the noise (the guard test holds it under 5%).
+    The loop keeps each step's reading and appends the events in step
+    order when the replay ends, also when it is cancelled or fails:
+    time spent building an event between two readings would land in
+    neither, and with few fused steps that gap is a visible share of
+    the execute span.
     """
     engine = plan.engine
     nb_qubits = plan.nb_qubits
@@ -301,6 +306,7 @@ def run_plan(plan, state, atol, inst=None, check=None):
     # never aliases any branch's current state) holds because a swap
     # always retires the buffer the branch just left.
     spare = None
+    dispatched = []  # (op kind, seconds, branches) per step run
     meter = step_meter(inst, engine)
     span = (
         NULL_SPAN if meter is None
@@ -328,13 +334,7 @@ def run_plan(plan, state, atol, inst=None, check=None):
                         branch.state = res
                     dt = perf_counter() - t0
                     kind = step_kind(step)
-                    record_event(
-                        EV_STEP_DISPATCH,
-                        op=kind,
-                        nq=nb_qubits,
-                        ns=int(dt * 1e9),
-                        branches=len(branches),
-                    )
+                    dispatched.append((kind, dt, len(branches)))
                     if meter is not None:
                         meter.kernel(
                             kind, len(branches),
@@ -360,13 +360,7 @@ def run_plan(plan, state, atol, inst=None, check=None):
                     )
                     op_kind = "reset"
                 dt = perf_counter() - t0
-                record_event(
-                    EV_STEP_DISPATCH,
-                    op=op_kind,
-                    nq=nb_qubits,
-                    ns=int(dt * 1e9),
-                    branches=len(branches),
-                )
+                dispatched.append((op_kind, dt, len(branches)))
                 if meter is not None:
                     meter.collapse(op_kind, dt)
                 live = sum(b.state.nbytes for b in branches)
@@ -377,6 +371,11 @@ def run_plan(plan, state, atol, inst=None, check=None):
                         branches=len(branches),
                     )
     finally:
+        for op_kind, dt, nb_branches in dispatched:
+            record_event(
+                EV_STEP_DISPATCH, op=op_kind, nq=nb_qubits,
+                ns=int(dt * 1e9), branches=nb_branches,
+            )
         if meter is not None:
             meter.flush()
             # branches only ever split, so the final count and the

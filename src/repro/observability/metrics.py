@@ -66,7 +66,8 @@ GATE_APPLIES = "repro_gate_applies_total"
 KERNEL_SECONDS = "repro_kernel_seconds"
 #: Approximate bytes read+written by backend kernels (same labels).
 KERNEL_BYTES = "repro_kernel_bytes_total"
-#: Source gates merged away by plan fusion, labelled by ``kind``.
+#: Source gates merged away by plan fusion, labelled by ``kind``
+#: (``1q`` / ``diag`` / ``block``).
 FUSED_STEPS = "repro_fused_steps_total"
 #: Plan-cache hits / misses observed by instrumented runs.
 PLAN_CACHE_HITS = "repro_plan_cache_hits_total"

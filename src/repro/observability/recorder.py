@@ -67,8 +67,9 @@ DEFAULT_CAPACITY = 4096
 
 # -- canonical event kinds ----------------------------------------------------
 
-#: A plan was compiled (payload: backend, ops, steps, fused, ns,
-#: table_bytes).
+#: A plan was compiled (payload: backend, ops, steps, fused, blocks,
+#: ns, table_bytes); ``blocks`` is the part of ``fused`` merged into
+#: dense blocks.
 EV_PLAN_COMPILE = "plan.compile"
 #: Plan-cache lookup outcomes (payload: backend, signature).
 EV_PLAN_HIT = "plan.hit"

@@ -12,10 +12,11 @@ the paper draws between QCLAB and QCLAB++:
 ``KernelBackend``
     The QCLAB++-style optimized engine (the default): it never
     materializes a register operator and precomputes no index tables.
-    One-qubit gates run as one GEMM or one broadcast matmul on a
-    strided view of the state; diagonal and controlled gates slice the
-    ``(2,)*n`` view at the control values and act on the target axes
-    only.
+    Uncontrolled gates on at most four contiguous qubits (one-qubit
+    gates and the dense blocks plan fusion builds) run as one GEMM or
+    one broadcast matmul on a strided view of the state; diagonal and
+    other gates slice the ``(2,)*n`` view at the control values and
+    act on the target axes only.
 
 All backends accept states of shape ``(dim,)`` or batches ``(dim, m)``
 (the latter powers :attr:`QCircuit.matrix`).  Backends may modify the
@@ -260,17 +261,21 @@ class Backend(ABC):
 # row's arithmetic never depends on ``B``, so a batched run is
 # bit-identical to the same rows run one at a time.
 
-#: Right-block width (amplitudes right of the target, times ``M``) at
-#: or below which a one-qubit gate runs as GEMMs against
-#: ``kron(U, I_right)``, a matrix of at most 32x32; wider blocks run a
-#: broadcast matmul over contiguous ``(2, cols)`` panels instead.
-GEMM_MAX_RIGHT = 16
+#: Widest ``kron(U, I_right)`` operator a dense step on ``k`` qubits
+#: runs GEMMs against (``2**k`` times the amplitudes right of its
+#: targets, times ``M``); wider steps run a broadcast matmul over
+#: contiguous ``(2**k, cols)`` panels instead.
+GEMM_MAX_WIDTH = 32
 
 #: Upper bound on ``M*N*K`` of one BLAS call.  Larger calls are split
 #: into stacks: OpenBLAS hands calls above about ``2**16`` to its worker
 #: threads, and on a loaded host a call can then wait milliseconds for
 #: a worker instead of microseconds for the arithmetic.
 BLAS_MAX_WORK = 1 << 15
+
+#: Widest contiguous uncontrolled step :func:`_dense` applies as one
+#: dense product; plan fusion grows blocks up to this width.
+MAX_BLOCK_QUBITS = 4
 
 
 def _chunk(size, cap):
@@ -382,51 +387,57 @@ def _run(states, kernel, targets, controls, control_states, diagonal,
             states, kernel, targets, controls, control_states, nb_qubits,
             step,
         )
-    if not controls and len(targets) == 1:
-        return _one_qubit(states, kernel, targets[0], out, step)
+    k = len(targets)
+    if not controls and k <= MAX_BLOCK_QUBITS and targets[-1] - targets[0] < k:
+        return _dense(states, kernel, targets, out, step)
     return _subspace(
         states, kernel, targets, controls, control_states, nb_qubits, out,
         step,
     )
 
 
-def _kron_operator(kernel, right):
-    """``kron(U, I_right)^T``, one per row for a kernel stack."""
-    lead = kernel.shape[:-2]
-    op = np.zeros(lead + (2, right, 2, right), dtype=kernel.dtype)
-    # op[..., b, s, a, s] = U[..., a, b]: write the nonzeros through a
-    # diagonal view instead of multiplying by an identity
-    np.einsum("...bsas->...bas", op)[...] = np.swapaxes(
+def _kron_operator(kernel, left, right):
+    """``kron(I_left, U, I_right)^T``, one per row for a kernel stack."""
+    lead, size = kernel.shape[:-2], kernel.shape[-1]
+    op = np.zeros(lead + (left, size, right) * 2, dtype=kernel.dtype)
+    # op[..., l, b, s, l, a, s] = U[..., a, b]: write the nonzeros
+    # through a diagonal view instead of multiplying by identities
+    np.einsum("...lbslas->...lbas", op)[...] = np.swapaxes(
         kernel, -1, -2
-    )[..., None]
-    return op.reshape(lead + (2 * right, 2 * right))
+    )[..., None, :, :, None]
+    return op.reshape(lead + (left * size * right,) * 2)
 
 
-def _one_qubit(states, kernel, target, out, step):
-    """Uncontrolled one-qubit kernel, written into ``out``."""
+def _dense(states, kernel, targets, out, step):
+    """Uncontrolled kernel on the contiguous targets ``targets[0]`` to
+    ``targets[-1]``, written into ``out``."""
     batch, dim, cols = states.shape
-    left = 1 << target
-    right = dim * cols >> (target + 1)
+    size = kernel.shape[-1]
+    left = 1 << targets[0]
+    right = dim * cols // (left * size)
     dest = np.empty_like(states) if out is None else out
     stacked = kernel.ndim == 3
-    if right <= GEMM_MAX_RIGHT:
+    if size * right <= GEMM_MAX_WIDTH:
         # each (b, l) row of the state times kron(U, I_right)^T, in
-        # GEMMs of ``rows`` contiguous rows
-        width = 2 * right
-        rows = _chunk(left, BLAS_MAX_WORK // (width * width))
+        # GEMMs of ``rows`` contiguous rows; a state that fits one
+        # operator folds its left block in too, so that it costs one
+        # small GEMM rather than ``left`` tiny ones
+        inner = left if left * size * right <= GEMM_MAX_WIDTH else 1
+        width = inner * size * right
+        rows = _chunk(left // inner, BLAS_MAX_WORK // (width * width))
         op = _cached(
-            step, kernel, ("kron", right),
-            lambda: _kron_operator(kernel, right),
+            step, kernel, ("kron", inner, right),
+            lambda: _kron_operator(kernel, inner, right),
         )
-        shape = (batch, left // rows, rows, width)
+        shape = (batch, left // inner // rows, rows, width)
         np.matmul(
             states.reshape(shape), op[:, None] if stacked else op,
             out=dest.reshape(shape),
         )
         return dest
-    # U times every (2, cols) panel of the (left, 2, right) view
-    panel = _chunk(right, BLAS_MAX_WORK // 4)
-    shape = (batch, left, 2, right // panel, panel)
+    # U times every (2**k, cols) panel of the (left, 2**k, right) view
+    panel = _chunk(right, BLAS_MAX_WORK // (size * size))
+    shape = (batch, left, size, right // panel, panel)
     np.matmul(
         kernel[:, None, None] if stacked else kernel,
         states.reshape(shape).swapaxes(2, 3),
@@ -550,13 +561,10 @@ class KernelBackend(Backend):
         self._validate(
             np.asarray(kernel), targets, nb_qubits, controls, control_states
         )
-        stack = _stacked(state, batched=False)
-        res = _run(
-            stack, np.asarray(kernel, dtype=stack.dtype), tuple(targets),
-            tuple(controls), tuple(control_states), diagonal, nb_qubits,
-            None,
+        return _apply(
+            state, False, kernel, tuple(targets), tuple(controls),
+            tuple(control_states), diagonal, nb_qubits,
         )
-        return _unstacked(res, stack, state, None, None)
 
     def apply_batched(
         self,
@@ -573,55 +581,51 @@ class KernelBackend(Backend):
         self._validate(
             np.asarray(kernel), targets, nb_qubits, controls, control_states
         )
-        stack = _stacked(states, batched=True)
-        res = _run(
-            stack, np.asarray(kernel, dtype=stack.dtype), tuple(targets),
-            tuple(controls), tuple(control_states), diagonal, nb_qubits,
-            None,
+        return _apply(
+            states, True, kernel, tuple(targets), tuple(controls),
+            tuple(control_states), diagonal, nb_qubits,
         )
-        return _unstacked(res, stack, states, None, None)
 
     def apply_planned(self, state, step, nb_qubits, out=None):
         """One compiled step on a ``(dim,)`` state (or ``(dim, m)``
         matrix), written into ``out`` where a second buffer helps."""
-        stack = _stacked(state, batched=False)
-        scratch = _scratch(out, state, stack)
-        res = _run(
-            stack, step.kernel, step.targets, step.controls,
-            step.control_states, step.diagonal, nb_qubits, scratch, step,
+        return _apply(
+            state, False, step.kernel, step.targets, step.controls,
+            step.control_states, step.diagonal, nb_qubits, out, step,
         )
-        return _unstacked(res, stack, state, scratch, out)
 
     def apply_planned_batched(self, states, step, nb_qubits, out=None):
         """One compiled step across a ``(B, 2**n)`` batch."""
         self._validate_batch(states, nb_qubits)
-        stack = _stacked(states, batched=True)
-        scratch = _scratch(out, states, stack)
-        res = _run(
-            stack, step.kernel, step.targets, step.controls,
-            step.control_states, step.diagonal, nb_qubits, scratch, step,
+        return _apply(
+            states, True, step.kernel, step.targets, step.controls,
+            step.control_states, step.diagonal, nb_qubits, out, step,
         )
-        return _unstacked(res, stack, states, scratch, out)
 
     def apply_planned_sweep(self, states, step, nb_qubits, kernels,
                             out=None):
         """One parametric step with a per-row ``(P, 2**k, 2**k)``
         kernel stack across a ``(P, 2**n)`` parameter batch."""
         self._validate_batch(states, nb_qubits)
-        stack = _stacked(states, batched=True)
-        scratch = _scratch(out, states, stack)
-        res = _run(
-            stack, np.asarray(kernels, dtype=stack.dtype), step.targets,
-            step.controls, step.control_states, step.diagonal, nb_qubits,
-            scratch,
+        return _apply(
+            states, True, kernels, step.targets, step.controls,
+            step.control_states, step.diagonal, nb_qubits, out,
         )
-        return _unstacked(res, stack, states, scratch, out)
 
 
-def _unstacked(res, stack, arr, scratch, out):
-    """Map :func:`_run`'s result back to the caller's objects: ``out``
-    itself when the result landed there, ``arr`` itself when it was
-    updated in place, else the fresh result in ``arr``'s shape."""
+def _apply(arr, batched, kernel, targets, controls, control_states,
+           diagonal, nb_qubits, out=None, step=None):
+    """:func:`_run` on ``arr`` (a state or ``(dim, m)`` matrix, or a
+    ``(B, dim)`` batch when ``batched``) with ``out`` as its scratch
+    where it can serve.  Returns ``out`` itself when the result landed
+    there, ``arr`` itself when it was updated in place, else the fresh
+    result in ``arr``'s shape."""
+    stack = _stacked(arr, batched)
+    scratch = _scratch(out, arr, stack)
+    res = _run(
+        stack, np.asarray(kernel, dtype=stack.dtype), targets, controls,
+        control_states, diagonal, nb_qubits, scratch, step,
+    )
     if scratch is not None and res is scratch:
         return out
     if res is stack and arr.flags.c_contiguous:
@@ -672,7 +676,6 @@ class SparseKronBackend(Backend):
 
     def apply_planned_batched(self, states, step, nb_qubits, out=None):
         """One sparse multiply for the whole ``(B, 2**n)`` batch."""
-        # one sparse multiply for the whole batch: (dim, dim) @ (dim, B)
         self._validate_batch(states, nb_qubits)
         op = self._operator(step, nb_qubits)
         res = np.asarray(op @ states.T, dtype=states.dtype)
@@ -689,16 +692,11 @@ class SparseKronBackend(Backend):
         diagonal=False,
     ):
         """Build the extended sparse operator and multiply it against
-        the whole batch at once."""
+        the whole batch at once (as the columns of ``states.T``)."""
         self._validate_batch(states, nb_qubits)
-        self._validate(
-            np.asarray(kernel), targets, nb_qubits, controls, control_states
+        out = self.apply(
+            states.T, kernel, targets, nb_qubits, controls, control_states
         )
-        op = self.extended_operator(
-            np.asarray(kernel, dtype=states.dtype), targets, nb_qubits,
-            controls, control_states,
-        )
-        out = np.asarray(op @ states.T, dtype=states.dtype)
         return np.ascontiguousarray(out.T)
 
     def apply(

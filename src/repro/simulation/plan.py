@@ -10,9 +10,13 @@ construction and its GPU kernels:
 ``compile_circuit``
     Flattens the op tree once into a :class:`CompiledPlan` of
     :class:`PlanStep` s with resolved absolute qubits and dtype-cast
-    kernels; adjacent same-qubit one-qubit
-    gates are fused into single 2x2 kernels and consecutive diagonal
-    gates are coalesced into one diagonal step.
+    kernels.  Fusion runs in the same single pass: adjacent same-qubit
+    one-qubit gates become one 2x2 kernel, a gate merges with the last
+    steps on its qubits into one dense block on at most
+    :data:`~repro.simulation.backends.MAX_BLOCK_QUBITS` contiguous
+    qubits (its matrix is multiplied out once, when compilation ends),
+    and consecutive diagonal gates are coalesced into one diagonal
+    step.
 
 ``get_plan``
     Memoizes plans in an LRU cache keyed by a *structural circuit
@@ -61,7 +65,12 @@ from repro.observability.recorder import (
     EV_PLAN_MISS,
     record_event,
 )
-from repro.simulation.backends import Backend, get_backend
+from repro.simulation.backends import (
+    MAX_BLOCK_QUBITS,
+    Backend,
+    _run,
+    get_backend,
+)
 from repro.utils.linalg import expand_diag
 
 __all__ = [
@@ -135,7 +144,9 @@ class PlanStats:
     the time of the run; ``cache_hit`` says whether *this* run reused a
     cached plan.  The ``*_seconds`` fields give per-stage wall time
     (signature hashing, compilation — zero on a cache hit — and plan
-    execution).
+    execution).  ``nb_fused_1q``, ``nb_diag_merged`` and
+    ``nb_block_merged`` count the steps each fusion rule merged away; a
+    gate that joins ``m`` frontier steps into one block counts ``m``.
     """
 
     nb_source_ops: int = 0
@@ -143,6 +154,7 @@ class PlanStats:
     nb_gate_steps: int = 0
     nb_fused_1q: int = 0
     nb_diag_merged: int = 0
+    nb_block_merged: int = 0
     cache_hit: bool = False
     cache_hits: int = 0
     cache_misses: int = 0
@@ -153,7 +165,7 @@ class PlanStats:
     @property
     def nb_fused(self) -> int:
         """Total source gates merged away by fusion."""
-        return self.nb_fused_1q + self.nb_diag_merged
+        return self.nb_fused_1q + self.nb_diag_merged + self.nb_block_merged
 
 
 class CompiledPlan:
@@ -434,50 +446,165 @@ def _touched(step: PlanStep) -> set:
     return set(step.targets) | set(step.controls)
 
 
-def _fuse_into_window(
-    steps: list, open_start: int, step: PlanStep, counts: dict
-) -> bool:
+class _Window:
+    """Fusion state of one compilation.
+
+    ``steps`` is the plan under construction (``None`` marks a step
+    merged away); fusion looks back only as far as ``start``, which
+    barriers, measurements and resets move to the end.  ``last`` maps
+    each qubit to the index of the last step of the window on it, and
+    ``blocks`` maps each open block step to its member gate steps.
+    """
+
+    def __init__(self):
+        self.steps: list = []
+        self.start = 0
+        self.last: dict = {}
+        self.blocks: dict = {}
+        self.counts = {"fused_1q": 0, "diag_merged": 0, "block_merged": 0}
+
+    def append(self, step: PlanStep) -> None:
+        index = len(self.steps)
+        self.steps.append(step)
+        for q in step.targets + step.controls:
+            self.last[q] = index
+
+    def close(self) -> None:
+        """Block fusion across everything appended so far."""
+        self.start = len(self.steps)
+        self.last.clear()
+
+
+def _block_frontier(window: _Window, step: PlanStep):
+    """``(indices, lo, hi)`` of the frontier steps that concrete
+    ``step`` merges with into one dense block on qubits ``lo..hi``, or
+    ``None`` when the block rule does not apply.
+
+    A frontier step is the last step of the window on one of
+    ``step``'s qubits.  Each must be concrete and uncontrolled or
+    diagonal (a 1q step, an uncontrolled gate, a diagonal or an
+    earlier block), and the
+    last step on all of its own qubits, so that it commutes forward to
+    the end of the window.  The union, padded to its contiguous span,
+    must fit :data:`MAX_BLOCK_QUBITS`; all-diagonal merges are left to
+    diagonal coalescing.
+    """
+    qubits = step.targets + step.controls
+    last = window.last
+    found = sorted({last[q] for q in qubits if q in last})
+    if not found:
+        return None
+    lo, hi = min(qubits), max(qubits)
+    diagonal = step.diagonal
+    for i in found:
+        cand = window.steps[i]
+        if cand.param is not None or (cand.controls and not cand.diagonal):
+            return None
+        own = cand.targets + cand.controls
+        lo, hi = min(lo, *own), max(hi, *own)
+        if hi - lo >= MAX_BLOCK_QUBITS or any(last[q] != i for q in own):
+            return None
+        diagonal = diagonal and cand.diagonal
+    if diagonal:
+        return None
+    return found, lo, hi
+
+
+def _fuse_into_window(window: _Window, step: PlanStep) -> bool:
     """Fuse ``step`` into an earlier step of the open fusion window
-    (``steps[open_start:]``) when a commuting path back exists.
+    when a commuting path back exists.
 
     An uncontrolled one-qubit gate commutes past every step that does
     not touch its qubit, so it can fuse with the *last* step that does
     — if that step is an uncontrolled one-qubit gate on the same
-    target.  A diagonal gate additionally commutes past any other
+    target.  Otherwise a gate merges with the frontier steps of its
+    qubits into one dense block (:func:`_block_frontier`): they move
+    to the end of the window as one step whose member gates
+    ``window.blocks`` records until :func:`_close_block` multiplies
+    them out.  A diagonal gate additionally commutes past any other
     diagonal step (they are simultaneously diagonalized), so it scans
     back through diagonals and disjoint steps for a coalescing partner.
     """
+    steps, last, counts = window.steps, window.last, window.counts
     if not step.controls and len(step.targets) == 1:
-        q = step.targets[0]
-        for i in range(len(steps) - 1, open_start - 1, -1):
-            cand = steps[i]
-            if q not in _touched(cand):
-                continue  # disjoint: commute past
-            if (
-                not cand.controls
-                and cand.param is None
-                and len(cand.targets) == 1
-                and cand.targets == step.targets
-            ):
-                _merge_1q(cand, step)
-                counts["fused_1q"] += 1
+        i = last.get(step.targets[0])
+        cand = None if i is None else steps[i]
+        if (
+            cand is not None
+            and not cand.controls
+            and cand.param is None
+            and len(cand.targets) == 1
+        ):
+            _merge_1q(cand, step)
+            counts["fused_1q"] += 1
+            return True
+    frontier = _block_frontier(window, step)
+    if frontier is not None:
+        found, lo, hi = frontier
+        counts["block_merged"] += len(found)
+        block = steps[found[0]]
+        if len(found) == 1 and block.targets == tuple(range(lo, hi + 1)):
+            members = window.blocks.get(block)
+            if members is not None:  # grows in place: it is last on
+                members.append(step)  # every qubit of its span
                 return True
-            break
+        block = PlanStep(GATE)
+        block.targets = tuple(range(lo, hi + 1))
+        members = window.blocks[block] = []
+        for i in found:
+            members.extend(window.blocks.pop(steps[i], (steps[i],)))
+            steps[i] = None
+        members.append(step)
+        window.append(block)
+        return True
     if step.diagonal:
         qubits = _touched(step)
-        for i in range(len(steps) - 1, open_start - 1, -1):
+        for i in range(len(steps) - 1, window.start - 1, -1):
             cand = steps[i]
+            if cand is None:
+                continue
             if cand.diagonal:
                 # a parametric diagonal has no kernel yet: commute past
                 # it, but never merge into it
                 if cand.param is None and _merge_diag(cand, step):
                     counts["diag_merged"] += 1
+                    for q in qubits:
+                        last[q] = max(last.get(q, i), i)
                     return True
                 continue  # diagonals commute: keep scanning
             if _touched(cand) & qubits:
                 break
             # non-diagonal but disjoint: commute past
     return False
+
+
+def _close_block(block: PlanStep, members: list, dtype) -> None:
+    """Give a block step its kernel: the member gates applied in order
+    to the identity on the block's qubits.  A member on one qubit
+    commutes with the members on other qubits, so runs of them on a
+    qubit are multiplied out first and applied once."""
+    lo = block.targets[0]
+    k = len(block.targets)
+    dim = 1 << k
+    matrix = np.eye(dim, dtype=dtype).reshape(1, dim, dim)
+    pending: dict = {}  # qubit -> product of its 1q members not applied
+    for m in members + [None]:
+        if m is not None and not m.controls and len(m.targets) == 1:
+            q = m.targets[0]
+            pending[q] = m.kernel @ pending[q] if q in pending else m.kernel
+            continue
+        due = list(pending) if m is None else pending.keys() & _touched(m)
+        for q in sorted(due):
+            matrix = _run(
+                matrix, pending.pop(q), (q - lo,), (), (), False, k, None
+            )
+        if m is not None:
+            matrix = _run(
+                matrix, m.kernel, tuple(q - lo for q in m.targets),
+                tuple(q - lo for q in m.controls), m.control_states,
+                m.diagonal, k, None,
+            )
+    block.kernel = matrix.reshape(dim, dim)
 
 
 # -- compilation -------------------------------------------------------------
@@ -531,6 +658,8 @@ def compile_circuit(
             fused.inc(st.nb_fused_1q, kind="1q")
         if st.nb_diag_merged:
             fused.inc(st.nb_diag_merged, kind="diag")
+        if st.nb_block_merged:
+            fused.inc(st.nb_block_merged, kind="block")
         return plan
 
 
@@ -545,9 +674,7 @@ def _compile_circuit(
     nb_qubits = circuit.nbQubits
     program = lower(circuit)
 
-    steps: list = []
-    open_start = 0  # start of the current fusion window in ``steps``
-    counts = {"fused_1q": 0, "diag_merged": 0}
+    window = _Window()
     nb_source_ops = 0
     recorded = []
     last_touch: dict = {}
@@ -556,7 +683,7 @@ def _compile_circuit(
     for irop in program:
         kind = irop.kind
         if kind == IR_BARRIER:
-            open_start = len(steps)  # barriers block fusion across them
+            window.close()  # barriers block fusion across them
             continue
         nb_source_ops += 1
         op = irop.op
@@ -579,7 +706,7 @@ def _compile_circuit(
                 )
                 for q in irop.qubits:
                     last_touch[q] = op
-                steps.append(step)  # opaque to fusion
+                window.append(step)  # opaque to fusion
                 continue
             step.kernel = irop.kernel(dtype)
             if step.diagonal:
@@ -590,11 +717,9 @@ def _compile_circuit(
             )
             for q in irop.qubits:
                 last_touch[q] = op
-            if fuse and _fuse_into_window(
-                steps, open_start, step, counts
-            ):
+            if fuse and _fuse_into_window(window, step):
                 continue
-            steps.append(step)
+            window.append(step)
             continue
         if kind == IR_MEASURE:
             step = PlanStep(MEASURE)
@@ -603,8 +728,8 @@ def _compile_circuit(
             record_index[id(op)] = len(recorded)
             recorded.append((step.qubit, op))
             last_touch[step.qubit] = op
-            steps.append(step)
-            open_start = len(steps)
+            window.append(step)
+            window.close()
             continue
         if kind == IR_RESET:
             step = PlanStep(RESET)
@@ -614,14 +739,18 @@ def _compile_circuit(
                 record_index[id(op)] = len(recorded)
                 recorded.append((step.qubit, op))
             last_touch[step.qubit] = op
-            steps.append(step)
-            open_start = len(steps)
+            window.append(step)
+            window.close()
             continue
         raise SimulationError(
             f"cannot compile {KIND_NAMES.get(kind, kind)} IR op "
             f"({type(op).__name__})"
         )
 
+    for block, members in window.blocks.items():
+        _close_block(block, members, dtype)
+    steps = [step for step in window.steps if step is not None]
+    counts = window.counts
     end_measured = {}
     for q, op in last_touch.items():
         if isinstance(op, Measurement):
@@ -634,6 +763,7 @@ def _compile_circuit(
         nb_fused_1q=counts["fused_1q"],
         nb_gate_steps=nb_gate_steps,
         nb_diag_merged=counts["diag_merged"],
+        nb_block_merged=counts["block_merged"],
         compile_seconds=perf_counter() - t0,
     )
     record_event(
@@ -642,6 +772,7 @@ def _compile_circuit(
         ops=nb_source_ops,
         steps=len(steps),
         fused=stats.nb_fused,
+        blocks=stats.nb_block_merged,
         ns=int(stats.compile_seconds * 1e9),
         table_bytes=_table_bytes(steps),
     )

@@ -20,7 +20,7 @@ from repro.simulation import backends
 #: per-row views that otherwise run only on wide registers; its tests
 #: took over those of the folded strided engine.
 KERNEL_REGIMES = {
-    "einsum": {"GEMM_MAX_RIGHT": 0},
+    "einsum": {"GEMM_MAX_WIDTH": 0},
     "strided": {"BLAS_MAX_WORK": 1},
 }
 

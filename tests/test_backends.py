@@ -19,7 +19,7 @@ from benchmarks.workloads import (
     nested_circuit,
     random_circuit,
 )
-from repro.circuit import QCircuit
+from repro.circuit import Measurement, QCircuit
 from repro.exceptions import SimulationError
 from repro.gates import (
     CNOT,
@@ -46,7 +46,7 @@ from repro.noise import (
     run_trajectory,
 )
 from repro.simulation.backends import (
-    GEMM_MAX_RIGHT,
+    GEMM_MAX_WIDTH,
     KernelBackend,
     SparseKronBackend,
     available_backends,
@@ -517,7 +517,7 @@ class TestKernelConformance:
         """The 1q kernel switches strategy on the ``right`` stride;
         cover qubit positions on both sides of the cut."""
         nb = 7  # right spans 1..64 => both <= 16 and > 16
-        assert 2 ** (nb - 1) > GEMM_MAX_RIGHT
+        assert 2 ** nb > GEMM_MAX_WIDTH
         c = QCircuit(nb)
         for q in range(nb):
             c.push_back(Hadamard(q))
@@ -544,8 +544,74 @@ class TestKernelConformance:
         np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
+def _contiguous_ranges(nb_qubits):
+    return [
+        (nb_qubits, tuple(range(lo, lo + k)))
+        for k in range(1, 5)
+        for lo in range(nb_qubits - k + 1)
+    ]
+
+
+class TestDenseSteps:
+    """Uncontrolled steps on contiguous qubits run as one dense product
+    (GEMM against ``kron(U, I_right)``, or ``U`` on panels), in every
+    input form and in both pinned regimes."""
+
+    @pytest.mark.parametrize(
+        "nb, targets", _contiguous_ranges(6) + _contiguous_ranges(3),
+        ids=lambda v: str(v),
+    )
+    @pytest.mark.parametrize("form", ["state", "batch", "matrix"])
+    @pytest.mark.parametrize(
+        "backend", ["kernel", "einsum", "strided"], indirect=True
+    )
+    def test_dense_matches_sparse(self, backend, nb, targets, form):
+        rng = np.random.default_rng(len(targets) * 10 + targets[0])
+        u = np.linalg.qr(
+            rng.normal(size=(2 ** len(targets),) * 2)
+            + 1j * rng.normal(size=(2 ** len(targets),) * 2)
+        )[0]
+        shape = {"state": (2**nb,), "batch": (5, 2**nb),
+                 "matrix": (2**nb, 3)}[form]
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        ref = SparseKronBackend.extended_operator(u, targets, nb)
+        if form == "batch":
+            got = backend.apply_batched(x.copy(), u, targets, nb)
+            np.testing.assert_allclose(got, (ref @ x.T).T, atol=1e-12)
+            for row, single in zip(got, x):
+                # a row's arithmetic does not depend on the batch width
+                np.testing.assert_array_equal(
+                    row, backend.apply(single.copy(), u, targets, nb)
+                )
+            return
+        got = backend.apply(x.copy(), u, targets, nb)
+        np.testing.assert_allclose(got, ref @ x, atol=1e-12)
+
+
 class TestKernelTrajectories:
     """Serial-vs-batched bit-exactness holds for the default engine."""
+
+    def test_block_fused_plan_batched_matches_serial_bitwise(self):
+        c = QCircuit(5)
+        for layer in range(3):
+            for q in range(5):
+                c.push_back(RotationX(q, 0.3 * q + layer))
+            for q in range(layer % 2, 4, 2):
+                c.push_back(CNOT(q, q + 1))
+        for q in range(5):
+            c.push_back(Measurement(q))
+        plan = compile_circuit(c)
+        assert any(
+            len(s.targets) > 1 and not s.controls for s in plan.steps
+        ), "no block step"
+        batched = run_trajectories_batched(
+            c, NoiseModel(), shots=24, seed=5, return_states=True
+        )
+        rng = np.random.default_rng(5)
+        for k in range(24):
+            one = run_trajectory(c, NoiseModel(), rng=rng)
+            assert one.result == batched.results[k]
+            np.testing.assert_array_equal(one.state, batched.states[k])
 
     def test_batched_matches_serial_bitwise(self):
         c = ghz_circuit(4, measure=True)

@@ -153,7 +153,16 @@ def test_run_conformance_report():
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["ok"] is True
     assert payload["nb_failures"] == 0
+    # seed 3 is a brickwork circuit, so plan fusion built blocks
+    assert payload["nb_block_merged"] == report.nb_block_merged > 0
     assert "OK" in report.summary()
+
+
+def test_brickwork_family_entangles_adjacent_qubits():
+    case = generate_case(3, QUICK)
+    assert case.universe == "brickwork"
+    pairs = [op.qubits for op in case.circuit if len(op.qubits) == 2]
+    assert pairs and all(b - a == 1 for a, b in map(sorted, pairs))
 
 
 def test_run_conformance_metrics(monkeypatch):

@@ -197,7 +197,8 @@ class TestMetrics:
         # 2 measurement draws per bell trajectory
         assert registry.counter(RNG_DRAWS).total() == 2 * total
         applies = registry.counter(GATE_APPLIES).total()
-        assert applies == 2 * total  # H + CNOT per trajectory
+        # H and CNOT fuse into one block step per trajectory
+        assert applies == total
 
 
 # -- exporters ---------------------------------------------------------------
@@ -450,7 +451,7 @@ class TestSimulationHooks:
             )
             assert sorted(sim.results) == ["00", "11"]
             assert sim.report().metrics.counter(GATE_APPLIES).value(
-                backend=backend, kind="1q"
+                backend=backend, kind="kq"
             ) >= 1
 
 

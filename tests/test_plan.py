@@ -24,6 +24,7 @@ from repro.gates import (
     T,
 )
 from repro.noise import Depolarizing, NoiseModel
+from repro.parameter import Parameter
 from repro.simulation import (
     Backend,
     KernelBackend,
@@ -151,7 +152,9 @@ class TestPlanCache:
         assert st.nb_steps == st.nb_gate_steps + 2
         assert st.compile_seconds >= 0.0
         assert st.execute_seconds >= 0.0
-        assert st.nb_fused == st.nb_fused_1q + st.nb_diag_merged
+        assert st.nb_fused == (
+            st.nb_fused_1q + st.nb_diag_merged + st.nb_block_merged
+        )
 
 
 class TestFusion:
@@ -211,6 +214,49 @@ class TestFusion:
         plan = compile_circuit(c, fuse=False)
         assert plan.stats.nb_fused == 0
         assert plan.stats.nb_gate_steps == 4
+
+    def test_gates_merge_into_one_dense_block(self):
+        c = QCircuit(3)
+        c.push_back(Hadamard(0))
+        c.push_back(CNOT(0, 1))
+        c.push_back(RotationX(1, 0.4))
+        c.push_back(CZ(1, 2))
+        plan = compile_circuit(c)
+        (step,) = plan.steps
+        assert step.targets == (0, 1, 2) and not step.controls
+        assert plan.stats.nb_block_merged == 3
+        assert plan.stats.nb_fused == len(c) - 1
+        assert np.allclose(step.kernel, c.matrix, atol=1e-14)
+
+    def test_padding_keeps_a_later_step_on_the_middle_qubit(self):
+        """CNOT(0, 2) pads its block over qubit 1, whose RY comes after
+        the block's first member: the RX on qubit 1 must still act
+        after that RY."""
+        c = QCircuit(3)
+        c.push_back(RotationX(0, 0.3))
+        c.push_back(RotationY(1, 0.7))
+        c.push_back(CNOT(0, 2))
+        c.push_back(RotationX(1, 1.1))
+        plan = compile_circuit(c)
+        assert [s.targets for s in plan.steps] == [(1,), (0, 1, 2)]
+        ref = simulate(
+            c, "000", options=SimulationOptions(backend="sparse", fuse=False)
+        ).states[0]
+        got = simulate(c, "000").states[0]
+        assert np.allclose(got, ref, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "angle, far, nb_steps",
+        [(0.2, 1, 1), (0.2, 4, 2), (Parameter("theta"), 1, 2)],
+        ids=["merged", "span-of-5", "parametric"],
+    )
+    def test_block_rule_limits(self, angle, far, nb_steps):
+        c = QCircuit(5)
+        c.push_back(RotationX(0, angle))
+        c.push_back(CNOT(0, far))
+        plan = compile_circuit(c)
+        assert len(plan.steps) == nb_steps
+        assert plan.stats.nb_block_merged == 2 - nb_steps
 
     @pytest.mark.parametrize(
         "backend", ["kernel", "sparse", "einsum"], indirect=True

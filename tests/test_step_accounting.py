@@ -60,11 +60,12 @@ RUNS = {
 @pytest.mark.parametrize("entry", sorted(RUNS))
 def test_gate_applies_mean_one_thing(entry):
     """One apply per gate step per run or shot — measurement basis
-    changes and the density conjugation's two sides are not applies."""
+    changes and the density conjugation's two sides are not applies.
+    H and CNOT fuse into one two-qubit block step."""
     run, shots = RUNS[entry]
     with instrument() as inst:
         run(x_measured_bell())
-    assert applies_by_kind(inst) == {"1q": shots, "controlled": shots}
+    assert applies_by_kind(inst) == {"kq": shots}
 
 
 def noisy_circuit():
