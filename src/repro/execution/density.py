@@ -1,10 +1,9 @@
 """Density-matrix dispatch — the exact open-system step loop.
 
-Moved here from :mod:`repro.simulation.density_sim` so the execution
-core owns every plan-replay loop: :func:`run_density_plan` walks a
-compiled plan once per branch set and returns raw branches.  The public
-entry point and the :class:`~repro.simulation.DensitySimulation` result
-object stay in ``density_sim``.
+:func:`run_density_plan` walks a compiled plan once per branch set and
+returns raw branches.  The public entry point and the
+:class:`~repro.simulation.DensitySimulation` result object live in
+:mod:`repro.simulation.density_sim`.
 
 A ``2^n x 2^n`` density matrix is a state vector of ``2n`` qubits: row
 qubit ``q`` is qubit ``q`` and column qubit ``q`` is qubit ``q + n``.
@@ -141,7 +140,7 @@ def initial_density(start, nb_qubits, dtype) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def run_density_plan(plan, rho0, noise, atol, inst=None):
+def run_density_plan(plan, rho0, noise, atol, inst=None, check=None):
     """Replay a compiled plan on a density matrix, branch-wise.
 
     Channels resolve per source gate via ``noise.channel_for``; readout
@@ -151,7 +150,9 @@ def run_density_plan(plan, rho0, noise, atol, inst=None):
     :class:`~repro.execution.dispatch.StepMeter`: one apply per branch
     for a gate step's ``U rho U^dagger``, one ``kraus`` reading per
     noisy qubit (one superoperator pass over each branch), collapses in
-    the measurement histogram.  Returns the final
+    the measurement histogram.  ``check`` is the cancellation hook,
+    called once per plan step as in
+    :func:`~repro.execution.dispatch.run_plan`.  Returns the final
     :class:`DensityBranch` list.
     """
     engine = plan.engine
@@ -160,6 +161,8 @@ def run_density_plan(plan, rho0, noise, atol, inst=None):
     meter = step_meter(inst, engine)
 
     for step in plan.steps:
+        if check is not None:
+            check()
         if meter is not None:
             t0 = perf_counter()
         if step.kind == GATE:

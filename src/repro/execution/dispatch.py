@@ -1,23 +1,24 @@
-"""Statevector dispatch loops — THE place compiled plans execute.
+"""Plan replay — THE loop compiled statevector plans execute through.
 
-:func:`run_plan` is the single branch-replay loop every statevector
-run goes through — parameterized by instrumentation instead of
-duplicated for it; unfused execution is a plan compiled with
-``fuse=False``.  Every ``step.dispatch`` flight-recorder event, kernel
-metric and state high-water mark the statevector engines emit comes
-from here; the density and trajectory loops record their per-step
-kernel metrics through the same :class:`StepMeter`.
-
-The loops return raw data (branches, recorded measurements, stats);
-materializing user-facing result objects is the caller's job — see
-:meth:`repro.execution.Executor.submit`.
+:func:`run_plan` replays a plan on a ``(B, 2**n)`` stack of rows, each
+with a weight and the outcomes it recorded: one row for ``simulate``,
+one per shot for a trajectory batch
+(:func:`~repro.execution.trajectory.execute_batch`), one per point for
+a sweep (:func:`run_sweep`).  Measure and reset steps go to one
+:func:`collapse` helper under a policy: :class:`Branching` splits each
+row per outcome, :class:`~repro.execution.trajectory.Sampling` draws
+one.  The per-step cancellation hook, every ``step.dispatch``
+flight-recorder event, the :class:`StepMeter` readings and the
+high-water gauges live only in this loop.  :func:`run_unitary` keeps
+the ``(dim, m)`` column form of ``QCircuit.matrix``.  Result objects
+are the caller's job — see :meth:`repro.execution.Executor.submit`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Mapping
+from typing import List, Mapping, NamedTuple
 
 import numpy as np
 
@@ -45,10 +46,14 @@ from repro.simulation.backends import Backend
 from repro.simulation.plan import GATE, MEASURE
 
 __all__ = [
+    "BLOCK_BYTES",
     "Branch",
+    "Branching",
     "KRAUS",
+    "Replay",
     "StepMeter",
     "apply_operation",
+    "collapse",
     "run_plan",
     "run_sweep",
     "run_unitary",
@@ -86,16 +91,16 @@ def step_kind(step) -> str:
 class StepMeter:
     """Per-step cost accounting for one instrumented plan replay.
 
-    Every plan-replay loop (:func:`run_plan`, and the density and
-    trajectory loops) times each plan step once, around the step's own
-    work, and hands that one reading here:
+    Both plan-replay loops (:func:`run_plan` and the density loop)
+    time each plan step once, around the step's own work, and hand
+    that one reading here:
 
     * gate steps -> ``repro_gate_applies_total`` /
       ``repro_kernel_seconds`` / ``repro_kernel_bytes_total`` under
-      ``kind=step_kind(step)``, one apply per state row per branch;
+      ``kind=step_kind(step)``, one apply per stack row;
     * noise channels attached to a gate step -> the same series under
       ``kind="kraus"``, one reading per noisy qubit;
-    * measure/reset steps (basis changes and reset flips included) ->
+    * measure/reset steps (basis changes included) ->
       ``repro_measurements_total`` under ``kind="measure"``/``"reset"``.
 
     While the replay runs the meter only appends each reading to a
@@ -183,265 +188,335 @@ def apply_operation(
     )
 
 
-def _branch_probabilities(state: np.ndarray, qubit: int, nb_qubits: int):
-    """P(0), P(1) of measuring ``qubit`` — Section 3.3's amplitude sums."""
-    left = 1 << qubit
-    right = 1 << (nb_qubits - 1 - qubit)
-    view = state.reshape(left, 2, right)
-    mags = np.abs(view) ** 2
-    p0 = float(np.sum(mags[:, 0, :]))
-    p1 = float(np.sum(mags[:, 1, :]))
-    return p0, p1
+#: Most bytes of the row blocks a splitting collapse regroups children
+#: into (at least one row each).  One 16 MB stack of four 18-qubit
+#: branches cannot reuse the 4 MB heap holes of single-branch runs:
+#: sv-ladder's peak RSS rose 11% before this split.
+BLOCK_BYTES = 1 << 22
 
 
-def _collapse(
-    state: np.ndarray, qubit: int, nb_qubits: int, outcome: int, prob: float
-) -> np.ndarray:
-    """Collapsed, renormalized copy of ``state`` after observing ``outcome``."""
-    left = 1 << qubit
-    collapsed = state.copy()
-    view = collapsed.reshape(left, 2, -1)
-    view[:, 1 - outcome, :] = 0.0
-    collapsed *= 1.0 / np.sqrt(prob)
-    return collapsed
+class Branching:
+    """The statevector collapse policy: every row splits into one child
+    row per outcome whose probability is above ``atol``.  Children keep
+    their parent's order, outcome 0 first.
+
+    A collapse policy has three hooks.  :meth:`choose` picks the
+    outcomes of a measure/reset step; :meth:`observed` maps a
+    measurement's outcomes to the recorded ones; ``noise``, when not
+    ``None``, runs after every gate step.  Only the trajectory policy
+    (:class:`repro.execution.trajectory.Sampling`) does anything in the
+    last two.
+    """
+
+    #: Statevector gate steps carry no channels.
+    noise = None
+
+    def __init__(self, atol):
+        self.atol = atol
+
+    def choose(self, blocks, qubit, nb_qubits):
+        """``(parents, outcomes, probs)``: the row each child copies
+        (``None`` when every row keeps exactly one outcome, so rows
+        collapse in place), the outcome it keeps and that outcome's
+        probability."""
+        parents, outcomes, probs = [], [], []
+        rows = [row for block in blocks for row in block]
+        for i, row in enumerate(rows):
+            # P(0), P(1): Section 3.3's amplitude sums
+            mags = np.abs(row.reshape(1 << qubit, 2, -1)) ** 2
+            p0 = float(np.sum(mags[:, 0, :]))
+            p1 = float(np.sum(mags[:, 1, :]))
+            total = p0 + p1
+            for outcome, p in ((0, p0), (1, p1)):
+                if p / total <= self.atol:
+                    continue
+                parents.append(i)
+                outcomes.append(outcome)
+                probs.append(p / total)
+        return (
+            None if parents == list(range(len(rows)))
+            else np.array(parents, dtype=np.intp),
+            np.array(outcomes, dtype=np.int64),
+            np.array(probs, dtype=float),
+        )
+
+    def observed(self, outcomes):
+        """Branches record the outcomes they collapsed to."""
+        return outcomes
 
 
-def _measure(engine, branches, qubit, meas, nb_qubits, atol, record):
-    """Split every branch on a measurement of ``qubit``."""
-    non_z = meas.basis != "z"
-    out = []
-    for branch in branches:
-        state = branch.state
-        if non_z:
-            state = engine.apply(
-                state, meas.basis_change, [qubit], nb_qubits
+def collapse(engine, blocks, step, nb_qubits, policy):
+    """Measure or reset ``step.qubit`` on every row of the stack (a list
+    of row blocks).
+
+    ``policy.choose`` picks each child row's parent, outcome and
+    probability; ``parents`` is ``None`` when every row collapses in
+    place, else the children are regrouped into blocks of at most
+    :data:`BLOCK_BYTES`.  A measurement zeroes the other outcome's half
+    of the row; a reset moves the kept half to ``|0>`` and zeroes
+    ``|1>`` (the copy-and-zero rule).  Either way the row is then
+    renormalized.  Other bases rotate to Z before and back after.
+    Returns ``(blocks, parents, outcomes, probs)``.
+    """
+    qubit = step.qubit
+    meas = step.op if step.kind == MEASURE else None
+    rotate = meas is not None and meas.basis != "z"
+    if rotate:
+        blocks = [
+            engine.apply_batched(b, meas.basis_change, [qubit], nb_qubits)
+            for b in blocks
+        ]
+    parents, outcomes, probs = policy.choose(blocks, qubit, nb_qubits)
+    if parents is not None and len(blocks) == 1:
+        (stack,) = blocks
+        per = max(1, BLOCK_BYTES // stack[0].nbytes)
+        blocks = [
+            stack[parents[k:k + per]] for k in range(0, len(parents), per)
+        ]
+    elif parents is not None:
+        rows = [row for block in blocks for row in block]
+        per = max(1, BLOCK_BYTES // rows[0].nbytes)
+        blocks = [
+            np.stack([rows[i] for i in parents[k:k + per]])
+            for k in range(0, len(parents), per)
+        ]
+    start = 0
+    for block in blocks:
+        at = slice(start, start + len(block))
+        start += len(block)
+        view = block.reshape(len(block), 1 << qubit, 2, -1)
+        ones = outcomes[at].astype(bool)
+        if meas is not None:
+            view[ones, :, 0, :] = 0.0
+            view[~ones, :, 1, :] = 0.0
+        else:
+            view[ones, :, 0, :] = view[ones, :, 1, :]
+            view[:, :, 1, :] = 0.0
+        block *= (1.0 / np.sqrt(probs[at]))[:, None]
+    if rotate:
+        blocks = [
+            engine.apply_batched(
+                b, meas.basis_change_dagger, [qubit], nb_qubits
             )
-        p0, p1 = _branch_probabilities(state, qubit, nb_qubits)
-        total = p0 + p1
-        children = []
-        for outcome, p in ((0, p0), (1, p1)):
-            if p / total <= atol:
-                continue
-            collapsed = _collapse(state, qubit, nb_qubits, outcome, p / total)
-            if non_z:
-                collapsed = engine.apply(
-                    collapsed,
-                    meas.basis_change_dagger,
-                    [qubit],
-                    nb_qubits,
-                )
-            result = branch.result + (str(outcome) if record else "")
-            children.append(
-                Branch(branch.probability * (p / total), collapsed, result)
-            )
-        out.extend(children)
-    return out
+            for b in blocks
+        ]
+    return blocks, parents, outcomes, probs
 
 
-def _reset(engine, branches, qubit, nb_qubits, atol, record):
-    """Reset ``qubit`` to |0> in every branch (measure + conditional X)."""
-    out = []
-    left = 1 << qubit
-    for branch in branches:
-        state = branch.state
-        p0, p1 = _branch_probabilities(state, qubit, nb_qubits)
-        total = p0 + p1
-        for outcome, p in ((0, p0), (1, p1)):
-            if p / total <= atol:
-                continue
-            collapsed = state.copy()
-            view = collapsed.reshape(left, 2, -1)
-            if outcome == 1:
-                view[:, 0, :] = view[:, 1, :]
-            view[:, 1, :] = 0.0
-            collapsed *= 1.0 / np.sqrt(p / total)
-            result = branch.result + (str(outcome) if record else "")
-            out.append(
-                Branch(branch.probability * (p / total), collapsed, result)
-            )
-    return out
+class Replay(NamedTuple):
+    """What :func:`run_plan` returns: the final stack as row blocks (one
+    block unless branches split), each row's weight (the probability of
+    the outcomes it collapsed to) and recorded outcome string, and the
+    recorded ``(qubit, op)`` pairs in plan order."""
+
+    blocks: list
+    weights: np.ndarray
+    results: List[str]
+    measurements: list
+
+    def branches(self) -> List[Branch]:
+        """The rows as :class:`Branch` objects; each state is a row
+        view of its final block."""
+        rows = (row for block in self.blocks for row in block)
+        return [
+            Branch(float(w), row, r)
+            for w, row, r in zip(self.weights, rows, self.results)
+        ]
 
 
-def run_plan(plan, state, atol, inst=None, check=None):
-    """Replay a compiled plan branch-wise from an initial state.
+def _bit_matrix_to_strings(columns: list, rows: int) -> List[str]:
+    """Recorded outcome columns -> per-row result strings."""
+    if not columns:
+        return [""] * rows
+    width = len(columns)
+    text = (np.stack(columns, axis=1) + ord("0")).astype(np.uint8)
+    text = text.tobytes().decode("ascii")
+    return [text[i:i + width] for i in range(0, len(text), width)]
 
-    THE dispatch loop — the only place planned statevector steps
-    execute.  ``inst`` parameterizes instrumentation: with an enabled
-    :class:`~repro.observability.instrument.Instrumentation` the replay
-    runs inside a ``simulate.execute`` span, and each step's one
-    wall-time reading (the same one its ``step.dispatch`` event
-    carries) goes to a :class:`StepMeter`, which accounts gate steps as
-    kernel applies/seconds/bytes and collapses in the measurement
-    histogram.  The meter's totals and the state/branch high-water
-    gauges are folded into the registry once, after the span closes —
-    also when the replay is cancelled.  With ``None`` (or a disabled
-    bundle) the loop pays none of that.
+
+def _gate(plan, states, step, spare, cols):
+    """One gate step on a block of rows, written into ``spare`` where
+    the backend can; returns the new ``(states, spare)`` pair."""
+    if (
+        spare is None
+        or spare.shape != states.shape
+        or spare.dtype != states.dtype
+    ):
+        spare = np.empty_like(states)
+    if cols is not None and step.param is not None:
+        kernels = step.op.kernel_values(step.param.resolve_batch(cols))
+        res = plan.engine.apply_planned_sweep(
+            states, step, plan.nb_qubits,
+            np.ascontiguousarray(kernels.astype(plan.dtype, copy=False)),
+            out=spare,
+        )
+    else:
+        res = plan.engine.apply_planned_batched(
+            states, step, plan.nb_qubits, out=spare
+        )
+    return res, (states if res is spare else spare)
+
+
+def run_plan(plan, state, atol, inst=None, check=None, *, policy=None,
+             cols=None, span="simulate.execute"):
+    """Replay a compiled plan on a stack of rows — THE replay loop.
+
+    ``state`` is one ``(2**n,)`` state or a ``(B, 2**n)`` stack; every
+    row starts with weight 1 and no outcomes.  Gate steps run once per
+    block of rows through ``apply_planned_batched``, each block
+    double-buffered against a spare; the stack is one block until a
+    collapse splits rows (see :data:`BLOCK_BYTES`).  Given sweep value
+    columns ``cols``, a parametric step applies one kernel per row
+    through ``apply_planned_sweep`` instead; without them it uses the
+    plan's bound kernel.  Measure and reset steps go to
+    :func:`collapse` under ``policy`` — :class:`Branching` with
+    ``atol`` when ``None``.
 
     ``check`` is the cancellation hook: a zero-argument callable
-    invoked once per plan step (not per branch) that raises to abort
-    the replay — the executor threads
-    :meth:`repro.execution.Job.check_cancelled` through here for jobs
-    carrying a deadline or a cancel request, which is how a service
-    request timeout interrupts a simulation *mid-execution*.  ``None``
-    (every ordinary run) costs nothing.
+    invoked once per plan step (not per row) that raises to abort the
+    replay — the executor passes
+    :meth:`repro.execution.Job.check_cancelled` for jobs carrying a
+    deadline or a cancel request.  ``None`` costs nothing.
 
-    Either way every step adds one ``step.dispatch`` event (op kind,
-    qubit count, wall ns, branch count) to the always-on flight
-    recorder — an O(1) ring append per *step*, not per branch, so the
-    overhead stays in the noise (the guard test holds it under 5%).
-    The loop keeps each step's reading and appends the events in step
-    order when the replay ends, also when it is cancelled or fails:
-    time spent building an event between two readings would land in
-    neither, and with few fused steps that gap is a visible share of
-    the execute span.
+    Every step adds one ``step.dispatch`` event (op kind, qubit count,
+    wall ns, row count) to the always-on flight recorder.  The loop
+    keeps each step's reading and appends the events in step order
+    when the replay ends, also when it is cancelled or fails: time
+    spent building an event between two readings would land in
+    neither.  With an enabled ``inst`` the replay runs inside the
+    ``span`` span (none when ``span`` is ``None``), each reading also
+    goes to a :class:`StepMeter`, and after the span closes the meter
+    and the stack's byte and row high-water gauges are folded into the
+    registry.
     """
     engine = plan.engine
     nb_qubits = plan.nb_qubits
-    branches = [Branch(1.0, state, "")]
+    if policy is None:
+        policy = Branching(atol)
+    blocks = [state.reshape(-1, state.shape[-1])]
+    del state  # the stack views it; once a collapse drops it, it is freed
+    rows = len(blocks[0])
+    weights = np.ones(rows)
+    columns: list = []  # recorded outcome columns, one per record
     measurements = []
-    highwater = state.nbytes
-    # double-buffered scratch pair: one spare statevector flips with
-    # each branch state per step, so backends that write into ``out``
-    # allocate no per-step result arrays.  The invariant (the spare
-    # never aliases any branch's current state) holds because a swap
-    # always retires the buffer the branch just left.
-    spare = None
-    dispatched = []  # (op kind, seconds, branches) per step run
+    highwater = blocks[0].nbytes
+    # a spare never aliases a live block: a swap always retires the
+    # buffer the block just left, and a collapse drops them
+    spares = [None]
+    dispatched = []  # (op kind, seconds, rows) per step run
     meter = step_meter(inst, engine)
-    span = (
-        NULL_SPAN if meter is None
-        else inst.span("simulate.execute", backend=engine.name)
+    scope = (
+        NULL_SPAN if meter is None or span is None
+        else inst.span(span, backend=engine.name)
     )
     try:
-        with span:
+        with scope:
             for step in plan.steps:
                 if check is not None:
                     check()
                 t0 = perf_counter()
                 if step.kind == GATE:
-                    for branch in branches:
-                        if (
-                            spare is None
-                            or spare.shape != branch.state.shape
-                            or spare.dtype != branch.state.dtype
-                        ):
-                            spare = np.empty_like(branch.state)
-                        res = engine.apply_planned(
-                            branch.state, step, nb_qubits, out=spare
+                    for i, block in enumerate(blocks):
+                        blocks[i], spares[i] = _gate(
+                            plan, block, step, spares[i], cols
                         )
-                        if res is spare:
-                            spare = branch.state
-                        branch.state = res
-                    dt = perf_counter() - t0
-                    kind = step_kind(step)
-                    dispatched.append((kind, dt, len(branches)))
+                    op_kind = step_kind(step)
                     if meter is not None:
                         meter.kernel(
-                            kind, len(branches),
-                            len(branches) * engine.planned_bytes(
-                                step, res, nb_qubits
+                            op_kind, rows,
+                            sum(
+                                engine.planned_bytes(step, b, nb_qubits)
+                                for b in blocks
                             ),
-                            dt,
+                            perf_counter() - t0,
                         )
+                    if policy.noise is not None:
+                        blocks = [
+                            policy.noise(engine, b, step, nb_qubits, meter)
+                            for b in blocks
+                        ]
+                    dispatched.append((op_kind, perf_counter() - t0, rows))
                     continue
+                spares = None  # freed before the children are made
+                blocks, parents, outcomes, probs = collapse(
+                    engine, blocks, step, nb_qubits, policy
+                )
+                spares = [None] * len(blocks)
+                if parents is not None:
+                    rows = len(parents)
+                    weights = weights[parents]
+                    columns = [c[parents] for c in columns]
+                weights = weights * probs
                 if step.kind == MEASURE:
-                    measurements.append((step.qubit, step.op))
-                    branches = _measure(
-                        engine, branches, step.qubit, step.op, nb_qubits,
-                        atol, record=True,
-                    )
                     op_kind = "measure"
+                    outcomes = policy.observed(outcomes)
                 else:  # RESET
-                    if step.op.record:
-                        measurements.append((step.qubit, step.op))
-                    branches = _reset(
-                        engine, branches, step.qubit, nb_qubits, atol,
-                        record=step.op.record,
-                    )
                     op_kind = "reset"
+                if op_kind == "measure" or step.op.record:
+                    measurements.append((step.qubit, step.op))
+                    columns.append(outcomes)
                 dt = perf_counter() - t0
-                dispatched.append((op_kind, dt, len(branches)))
+                dispatched.append((op_kind, dt, rows))
                 if meter is not None:
                     meter.collapse(op_kind, dt)
-                live = sum(b.state.nbytes for b in branches)
+                live = sum(b.nbytes for b in blocks)
                 if live > highwater:
                     highwater = live
                     record_event(
-                        EV_STATE_HIGHWATER, bytes=live,
-                        branches=len(branches),
+                        EV_STATE_HIGHWATER, bytes=live, branches=rows,
                     )
     finally:
-        for op_kind, dt, nb_branches in dispatched:
+        for op_kind, dt, nb_rows in dispatched:
             record_event(
                 EV_STEP_DISPATCH, op=op_kind, nq=nb_qubits,
-                ns=int(dt * 1e9), branches=nb_branches,
+                ns=int(dt * 1e9), branches=nb_rows,
             )
         if meter is not None:
             meter.flush()
-            # branches only ever split, so the final count and the
-            # byte high-water mark are the run's maxima
+            # rows only ever split, so the final count and the byte
+            # high-water mark are the run's maxima
             inst.metrics.gauge(
                 STATE_BYTES_MAX,
                 "high-water statevector bytes across branches",
             ).set_max(highwater)
             inst.metrics.gauge(
                 BRANCHES_MAX, "high-water simultaneous measurement branches"
-            ).set_max(len(branches))
-    return branches, measurements
+            ).set_max(rows)
+    return Replay(
+        blocks, weights, _bit_matrix_to_strings(columns, rows),
+        measurements,
+    )
 
 
-def run_sweep(plan, cols: Mapping, nb_points: int, start=None) -> np.ndarray:
-    """Execute a plan for a whole matrix of parameter points.
+def run_sweep(plan, cols: Mapping, nb_points: int, start=None,
+              check=None) -> np.ndarray:
+    """Execute a plan for a whole matrix of parameter points: one row
+    of the :func:`run_plan` stack per point.
 
-    One vectorized pass per plan step runs all ``nb_points`` points at
-    once: concrete steps broadcast their single kernel over the
-    ``(P, 2**n)`` state batch, parametric steps apply a per-point
-    kernel stack along the parameter axis.  ``cols`` maps each
-    :class:`~repro.parameter.Parameter` to its length-``P`` value
-    column (validated by :meth:`~repro.simulation.CompiledPlan.sweep`,
-    which is the public entry).  Emits the ``param.sweep`` span,
-    the swept-points metric and the ``plan.sweep`` recorder event —
-    all from this one loop.
+    ``cols`` maps each :class:`~repro.parameter.Parameter` to its
+    length-``P`` value column (validated by
+    :meth:`~repro.simulation.CompiledPlan.sweep`, which is the public
+    entry).  Emits the ``param.sweep`` span, the swept-points metric
+    and the ``plan.sweep`` recorder event.
     """
     from repro.simulation.state import initial_state
 
-    dtype = plan.dtype
     nb_qubits = plan.nb_qubits
     if start is None:
         start = "0" * nb_qubits
-    init = initial_state(start, nb_qubits, dtype=dtype)
-    states = np.tile(init, (nb_points, 1))
-    engine = plan.engine
+    init = initial_state(start, nb_qubits, dtype=plan.dtype)
     inst = current_instrumentation()
     t_sweep = perf_counter()
     with inst.span(
         "param.sweep",
         points=nb_points,
-        backend=engine.name,
+        backend=plan.engine.name,
         nb_params=len(cols),
     ):
-        # every step double-buffers the whole (P, 2**n) batch — the
-        # same zero-allocation flip as run_plan
-        spare = np.empty_like(states)
-        for step in plan.steps:
-            if step.param is None:
-                res = engine.apply_planned_batched(
-                    states, step, nb_qubits, out=spare
-                )
-                if res is spare:
-                    spare = states
-                states = res
-                continue
-            thetas = step.param.resolve_batch(cols)
-            kernels = np.ascontiguousarray(
-                step.op.kernel_values(thetas).astype(dtype, copy=False)
-            )
-            res = engine.apply_planned_sweep(
-                states, step, nb_qubits, kernels, out=spare
-            )
-            if res is spare:
-                spare = states
-            states = res
+        (states,) = run_plan(
+            plan, np.tile(init, (nb_points, 1)), None, inst, check,
+            cols=cols, span=None,
+        ).blocks
         if inst.enabled:
             inst.metrics.counter(
                 SWEEP_POINTS,
@@ -450,7 +525,7 @@ def run_sweep(plan, cols: Mapping, nb_points: int, start=None) -> np.ndarray:
     record_event(
         EV_PLAN_SWEEP,
         points=nb_points,
-        backend=engine.name,
+        backend=plan.engine.name,
         ns=int((perf_counter() - t_sweep) * 1e9),
     )
     return states

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.exceptions import SimulationError, UnboundParameterError
 from repro.execution import trajectory as traj
-from repro.execution.dispatch import run_plan
+from repro.execution.dispatch import run_plan, run_sweep
 from repro.execution.density import initial_density, run_density_plan
 from repro.execution.job import DONE, FAILED, PENDING, Job
 from repro.execution.request import (
@@ -224,26 +224,27 @@ class Executor:
         job.check_cancelled()
         return plan, stats
 
+    @staticmethod
+    def _check(job: Job):
+        """The per-step cancellation hook for a job carrying a deadline
+        or a cancel request, else ``None`` — plain wrapper calls pay
+        nothing extra."""
+        if job.deadline is not None or job.cancelled:
+            return job.check_cancelled
+        return None
+
     def _run_statevector(self, job: Job, inst):
         req = job.request
         opts = req.options
         engine = get_backend(opts.backend)
         nb_qubits = req.circuit.nbQubits
         start = "0" * nb_qubits if req.start is None else req.start
-        state = initial_state(start, nb_qubits, dtype=opts.dtype)
         from repro.simulation.simulate import Simulation
 
         with inst.span(
             "simulate", backend=engine.name, nb_qubits=nb_qubits
         ):
             plan, stats = self._plan(job, engine, opts.fuse)
-            # per-step cancellation only engages for deadline/cancel
-            # jobs, so plain simulate() wrappers pay nothing extra
-            check = (
-                job.check_cancelled
-                if job.deadline is not None or job.cancelled
-                else None
-            )
             if plan.is_parametric and req.param_values is None:
                 raise UnboundParameterError(
                     "circuit has unbound parameter(s) "
@@ -262,13 +263,17 @@ class Executor:
                 job._running()
                 job._stage = "simulate.execute"
                 t0 = perf_counter()
-                branches, measurements = run_plan(
-                    plan, state, opts.atol, inst, check=check
+                # built in the call, so that the replay holds the start
+                # buffer alone and a collapse can free it
+                replay = run_plan(
+                    plan, initial_state(start, nb_qubits, dtype=opts.dtype),
+                    opts.atol, inst, check=self._check(job),
                 )
                 stats.execute_seconds = perf_counter() - t0
             job.timings.execute_seconds = stats.execute_seconds
             return Simulation(
-                nb_qubits, branches, measurements, plan.end_measured,
+                nb_qubits, replay.branches(), replay.measurements,
+                plan.end_measured,
                 plan.engine.name, engine=plan.engine, stats=stats,
                 seed=req.seed,
                 instrumentation=inst if inst.enabled else None,
@@ -295,7 +300,7 @@ class Executor:
             job._stage = "simulate_density"
             t0 = perf_counter()
             branches = run_density_plan(
-                plan, rho0, noise, opts.atol, inst
+                plan, rho0, noise, opts.atol, inst, check=self._check(job)
             )
             stats.execute_seconds = perf_counter() - t0
             job.timings.execute_seconds = stats.execute_seconds
@@ -432,6 +437,7 @@ class Executor:
                     ns=int((perf_counter() - t_pool) * 1e9),
                 )
             else:
+                check = self._check(job)
                 for block in draw_blocks:
                     t_block = perf_counter()
                     with inst.span(
@@ -439,7 +445,7 @@ class Executor:
                     ):
                         res, states = traj.execute_batch(
                             plan, channels, noise, req.start,
-                            block, opts.dtype, inst,
+                            block, opts.dtype, inst, check,
                         )
                     record_event(
                         EV_BATCH_EXECUTE,
@@ -478,8 +484,11 @@ class Executor:
         # the value columns per step), but it must not interleave with a
         # concurrent bind+execute on the same cached plan object
         with plan.lock if plan.is_parametric else nullcontext():
-            states = plan.sweep(
-                req.values, parameters=req.parameters, start=req.start
+            cols, nb_points = plan.sweep_columns(
+                req.values, parameters=req.parameters
+            )
+            states = run_sweep(
+                plan, cols, nb_points, req.start, check=self._check(job)
             )
         stats.execute_seconds = perf_counter() - t0
         job.timings.execute_seconds = stats.execute_seconds

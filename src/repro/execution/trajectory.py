@@ -1,11 +1,11 @@
-"""Monte-Carlo trajectory dispatch — the one trajectory step loop.
+"""Monte-Carlo trajectories — the :class:`Sampling` collapse policy.
 
-Moved here from :mod:`repro.noise.trajectory` so the execution core
-owns every plan-replay loop.  :func:`execute_batch` runs ``B`` shots
-as one ``(B, 2**n)`` array: every compiled plan step executes once
-across the whole batch and all stochastic choices (Kraus selection,
-measurement collapse, readout flips) are vectorized over the batch
-axis.  A single trajectory is a one-row batch.
+:func:`execute_batch` runs ``B`` shots as the ``B`` rows of one
+:func:`~repro.execution.dispatch.run_plan` stack: every compiled plan
+step executes once across the whole batch, and all stochastic choices
+(Kraus selection, measurement collapse, readout flips) are vectorized
+over the rows by the :class:`Sampling` policy.  A single trajectory is
+a one-row batch.
 
 Shot ``i`` consumes uniforms ``[i*D, (i+1)*D)`` of the seed stream
 (:func:`draws_per_shot` states the contract), so for a fixed seed the
@@ -24,16 +24,15 @@ initialization.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import List
 
 import numpy as np
 
-from repro.circuit.measurement import Measurement
-from repro.execution.dispatch import KRAUS, step_kind, step_meter
+from repro.execution.dispatch import KRAUS, run_plan
 from repro.simulation.plan import GATE, MEASURE, get_plan
 from repro.simulation.state import initial_state
 
 __all__ = [
+    "Sampling",
     "execute_batch",
     "batch_worker",
     "channel_map",
@@ -45,8 +44,6 @@ __all__ = [
 BATCH_TARGET_ELEMS = 1 << 22
 #: ... and never wider than this many rows.
 BATCH_MAX_ROWS = 4096
-
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
 
 def channel_map(circuit, noise) -> dict:
@@ -107,9 +104,6 @@ def draws_per_shot(plan, channels: dict, noise) -> int:
     return draws
 
 
-# -- stochastic steps --------------------------------------------------------
-
-
 def _apply_channel(engine, states, channel, qubit, nb_qubits, r):
     """Monte-Carlo Kraus branch over a ``(B, dim)`` batch.
 
@@ -138,147 +132,84 @@ def _apply_channel(engine, states, channel, qubit, nb_qubits, r):
     return states, nbytes
 
 
-def _sample_measurement(engine, states, meas, qubit, nb_qubits, r):
-    """Collapse one measurement across the batch; returns
-    ``(outcomes, states)`` with ``outcomes`` a ``(B,)`` int array."""
-    if meas.basis != "z":
-        states = engine.apply_batched(
-            states, meas.basis_change, [qubit], nb_qubits
-        )
-    batch = states.shape[0]
-    left = 1 << qubit
-    view = states.reshape(batch, left, 2, -1)
-    p1 = np.sum(np.abs(view[:, :, 1, :]) ** 2, axis=(1, 2))
-    outcomes = (r < p1).astype(np.int64)
-    ones = outcomes.astype(bool)
-    view[ones, :, 0, :] = 0.0
-    view[~ones, :, 1, :] = 0.0
-    prob = np.where(ones, p1, 1.0 - p1)
-    states *= (1.0 / np.sqrt(prob))[:, None]
-    if meas.basis != "z":
-        states = engine.apply_batched(
-            states, meas.basis_change_dagger, [qubit], nb_qubits
-        )
-    return outcomes, states
-
-
-def _reset(engine, states, qubit, nb_qubits, r):
-    """Measure ``qubit`` across the batch and flip the rows that read
-    1 back to ``|0>``; returns ``(outcomes, states)``."""
-    outcomes, states = _sample_measurement(
-        engine, states, Measurement(qubit), qubit, nb_qubits, r
-    )
-    ones = np.flatnonzero(outcomes)
-    if len(ones):
-        states[ones] = engine.apply_batched(
-            states[ones], _X, [qubit], nb_qubits
-        )
-    return outcomes, states
-
-
-# -- the step loop -----------------------------------------------------------
-
-
-def _bit_matrix_to_strings(columns: list, batch: int) -> List[str]:
-    """Recorded outcome columns -> per-shot result strings."""
-    if not columns:
-        return [""] * batch
-    mat = np.stack(columns, axis=1).astype(np.uint8) + ord("0")
-    return [bytes(row).decode("ascii") for row in mat]
-
-
-def execute_batch(plan, channels, noise, start, draws, dtype, inst=None):
-    """Run one batch of trajectories through a compiled plan.
+class Sampling:
+    """The trajectory collapse policy (see
+    :class:`~repro.execution.dispatch.Branching` for the hooks).
 
     ``draws`` is the pre-drawn ``(B, draws_per_shot)`` uniform matrix;
-    column ``j`` holds every row's ``j``-th stochastic choice, so the
-    stream is consumed shot-major.  Returns ``(results, states)``: the
-    per-shot outcome strings and the final ``(B, 2**n)`` states.  With
-    an enabled ``inst`` every step is timed once, around its own work,
-    and accounted through a
-    :class:`~repro.execution.dispatch.StepMeter` as ``B`` applies: the
-    gate apply under its gate kind, each attached channel under
-    ``kraus``, collapses in the measurement histogram.
+    column ``j`` holds every row's ``j``-th stochastic choice and the
+    hooks consume the columns in plan order: one per Kraus site with
+    more than one operator, one per measurement collapse followed by
+    one per readout check, one per reset.
     """
-    engine = plan.engine
-    nb_qubits = plan.nb_qubits
-    batch = draws.shape[0]
+
+    def __init__(self, draws, channels, readout_error):
+        self._draws = draws
+        self._col = 0
+        self._channels = channels
+        self._readout_error = readout_error
+
+    def _uniforms(self):
+        r = self._draws[:, self._col]
+        self._col += 1
+        return r
+
+    def choose(self, blocks, qubit, nb_qubits):
+        """Each row's outcome from its own uniform, as
+        ``(None, outcomes, probs)``: every row collapses in place, so
+        the batch stays the one block it started as."""
+        (states,) = blocks
+        view = states.reshape(states.shape[0], 1 << qubit, 2, -1)
+        p1 = np.sum(np.abs(view[:, :, 1, :]) ** 2, axis=(1, 2))
+        outcomes = (self._uniforms() < p1).astype(np.int64)
+        return None, outcomes, np.where(outcomes.astype(bool), p1, 1.0 - p1)
+
+    def observed(self, outcomes):
+        """Readout error: flip each recorded bit with its probability."""
+        if self._readout_error > 0.0:
+            flips = self._uniforms() < self._readout_error
+            outcomes = outcomes ^ flips.astype(np.int64)
+        return outcomes
+
+    def noise(self, engine, states, step, nb_qubits, meter):
+        """The channel attached to the step's gate, on each noisy
+        qubit; each one reading under ``kind="kraus"``."""
+        channel = self._channels.get(type(step.op))
+        if channel is None:
+            return states
+        needs_draw = len(channel.kraus) > 1
+        for q in step.noise_qubits:
+            t0 = perf_counter()
+            r = self._uniforms() if needs_draw else None
+            states, nbytes = _apply_channel(
+                engine, states, channel, q, nb_qubits, r
+            )
+            if meter is not None:
+                meter.kernel(KRAUS, len(states), nbytes, perf_counter() - t0)
+        return states
+
+
+def execute_batch(plan, channels, noise, start, draws, dtype, inst=None,
+                  check=None):
+    """Run one batch of trajectories through a compiled plan.
+
+    ``draws`` is the pre-drawn ``(B, draws_per_shot)`` uniform matrix,
+    consumed shot-major by a :class:`Sampling` policy.  Returns
+    ``(results, states)``: the per-shot outcome strings and the final
+    ``(B, 2**n)`` states.  ``inst`` and ``check`` are
+    :func:`~repro.execution.dispatch.run_plan`'s.
+    """
     base = initial_state(
-        start if start is not None else "0" * nb_qubits,
-        nb_qubits,
+        start if start is not None else "0" * plan.nb_qubits,
+        plan.nb_qubits,
         dtype=dtype,
     )
-    states = np.tile(base, (batch, 1))
-    col = 0
-    recorded: list = []
-    # double-buffered scratch pair: gate steps flip between `states`
-    # and one spare (B, dim) array, so backends that write into `out`
-    # allocate nothing per step.  Noise/measurement paths below may
-    # rebind `states` to fresh arrays; the spare stays disjoint either
-    # way (a swap only ever retires the buffer states just left)
-    spare = np.empty_like(states)
-    meter = step_meter(inst, engine)
-
-    for step in plan.steps:
-        if meter is not None:
-            t0 = perf_counter()
-        if step.kind == GATE:
-            new = engine.apply_planned_batched(
-                states, step, nb_qubits, out=spare
-            )
-            if new is spare:
-                spare = states
-            states = new
-            if meter is not None:
-                dt = perf_counter() - t0
-                meter.kernel(
-                    step_kind(step), batch,
-                    engine.planned_bytes(step, states, nb_qubits), dt,
-                )
-            channel = channels.get(type(step.op))
-            if channel is not None:
-                needs_draw = len(channel.kraus) > 1
-                for q in step.noise_qubits:
-                    if meter is not None:
-                        t0 = perf_counter()
-                    r = None
-                    if needs_draw:
-                        r = draws[:, col]
-                        col += 1
-                    states, nbytes = _apply_channel(
-                        engine, states, channel, q, nb_qubits, r
-                    )
-                    if meter is not None:
-                        dt = perf_counter() - t0
-                        meter.kernel(KRAUS, batch, nbytes, dt)
-            continue
-        if step.kind == MEASURE:
-            outcomes, states = _sample_measurement(
-                engine, states, step.op, step.qubit, nb_qubits,
-                draws[:, col],
-            )
-            col += 1
-            if noise.readout_error > 0.0:
-                flips = draws[:, col] < noise.readout_error
-                col += 1
-                outcomes = outcomes ^ flips.astype(np.int64)
-            recorded.append(outcomes)
-            if meter is not None:
-                meter.collapse("measure", perf_counter() - t0)
-            continue
-        # RESET
-        outcomes, states = _reset(
-            engine, states, step.qubit, nb_qubits, draws[:, col]
-        )
-        col += 1
-        if step.op.record:
-            recorded.append(outcomes)
-        if meter is not None:
-            meter.collapse("reset", perf_counter() - t0)
-    if meter is not None:
-        meter.flush()
-
-    return _bit_matrix_to_strings(recorded, batch), states
+    replay = run_plan(
+        plan, np.tile(base, (draws.shape[0], 1)), None, inst, check,
+        policy=Sampling(draws, channels, noise.readout_error), span=None,
+    )
+    (states,) = replay.blocks
+    return replay.results, states
 
 
 def batch_worker(payload):

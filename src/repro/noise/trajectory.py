@@ -8,8 +8,9 @@ with probability ``||K_i psi||^2``.  Averaging over shots reproduces
 the open-system statistics exactly, at state-vector cost per shot.
 
 Two entry points share this module — both thin wrappers submitting a
-request to the unified execution core, whose one step loop
-(:func:`repro.execution.trajectory.execute_batch`) runs every shot:
+request to the unified execution core, whose one replay loop
+(:func:`repro.execution.dispatch.run_plan`) runs every shot as a row
+of its stack (:func:`repro.execution.trajectory.execute_batch`):
 
 :func:`run_trajectory`
     One shot, one ``(2**n,)`` state: a one-shot batch.

@@ -66,6 +66,17 @@ class Backend(ABC):
     #: Engine-registry kind for gate-apply backends.
     kind = "statevector"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the replay loop applies gate steps through the batched hook:
+        # a subclass overriding only the one-state hook gets the row
+        # loop, so its override still runs on every row
+        if (
+            "apply_planned" in cls.__dict__
+            and "apply_planned_batched" not in cls.__dict__
+        ):
+            cls.apply_planned_batched = Backend.apply_planned_batched
+
     @abstractmethod
     def apply(
         self,
@@ -121,10 +132,11 @@ class Backend(ABC):
     # -- batched (trajectory-ensemble) hooks --------------------------------
     #
     # A batch is ``B`` independent state vectors stacked on a leading
-    # axis, shape ``(B, 2**nb_qubits)`` — the layout of the batched
-    # trajectory engine (:mod:`repro.noise.trajectory`).  The defaults
-    # loop over the batch rows; vectorized backends override them to
-    # execute each kernel ONCE across the whole batch.
+    # axis, shape ``(B, 2**nb_qubits)`` — the row stack every plan
+    # replay runs on (:func:`repro.execution.dispatch.run_plan`:
+    # statevector branches, trajectory shots, sweep points).  The
+    # defaults loop over the batch rows; vectorized backends override
+    # them to execute each kernel ONCE across the whole batch.
 
     def apply_batched(
         self,

@@ -314,10 +314,18 @@ class CompiledPlan:
         numpy.ndarray
             The ``(P, 2**n)`` final states, one row per point.
 
-        Validation happens here; the vectorized step loop itself lives
-        in :func:`repro.execution.dispatch.run_sweep` — the execution
-        core owns every plan-replay loop.
+        Validation happens in :meth:`sweep_columns`; the points run
+        as the rows of :func:`repro.execution.dispatch.run_sweep` —
+        the execution core owns every plan-replay loop.
         """
+        from repro.execution.dispatch import run_sweep
+
+        cols, nb_points = self.sweep_columns(values, parameters)
+        return run_sweep(self, cols, nb_points, start)
+
+    def sweep_columns(self, values, parameters=None):
+        """Validate :meth:`sweep`'s ``values`` and ``parameters``;
+        returns ``({Parameter: length-P column}, P)``."""
         for step in self.steps:
             if step.kind != GATE:
                 raise SimulationError(
@@ -356,11 +364,7 @@ class CompiledPlan:
             raise UnboundParameterError(
                 f"parameter value arrays disagree on length: {lengths}"
             )
-        nb_points = lengths.pop() if lengths else 1
-
-        from repro.execution.dispatch import run_sweep
-
-        return run_sweep(self, cols, nb_points, start)
+        return cols, (lengths.pop() if lengths else 1)
 
     def __repr__(self) -> str:
         par = (

@@ -373,3 +373,97 @@ class TestBackendParity:
         )
         for a, b in zip(sim.states, ref.states):
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+class TestStackedBranches:
+    """The one replay loop runs every branch as a row of one stack (in
+    blocks of rows); a per-branch replay through ``apply_planned`` (the
+    Section 3.3 model, one state per branch) is its reference, to the
+    bit."""
+
+    @staticmethod
+    def _per_branch(plan, start, atol):
+        """``[(probability, state, result)]`` of a branch-wise replay."""
+        from repro.simulation.plan import GATE, MEASURE
+
+        engine, n = plan.engine, plan.nb_qubits
+        branches = [(1.0, initial_state(start, n), "")]
+        for step in plan.steps:
+            if step.kind == GATE:
+                branches = [
+                    (p, engine.apply_planned(s.copy(), step, n), r)
+                    for p, s, r in branches
+                ]
+                continue
+            q, op = step.qubit, step.op
+            measure = step.kind == MEASURE
+            rotate = measure and op.basis != "z"
+            record = measure or op.record
+            split = []
+            for prob, state, result in branches:
+                if rotate:
+                    state = engine.apply(state, op.basis_change, [q], n)
+                mags = np.abs(state.reshape(1 << q, 2, -1)) ** 2
+                p0 = float(np.sum(mags[:, 0, :]))
+                p1 = float(np.sum(mags[:, 1, :]))
+                for outcome, p in ((0, p0), (1, p1)):
+                    p = p / (p0 + p1)
+                    if p <= atol:
+                        continue
+                    child = state.copy()
+                    view = child.reshape(1 << q, 2, -1)
+                    if measure:
+                        view[:, 1 - outcome, :] = 0.0
+                    else:
+                        view[:, 0, :] = view[:, outcome, :]
+                        view[:, 1, :] = 0.0
+                    child *= 1.0 / np.sqrt(p)
+                    if rotate:
+                        child = engine.apply(
+                            child, op.basis_change_dagger, [q], n
+                        )
+                    split.append((
+                        prob * p, child,
+                        result + (str(outcome) if record else ""),
+                    ))
+            branches = split
+        return branches
+
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    @pytest.mark.parametrize("backend", ["kernel", "sparse"])
+    def test_branches_match_a_per_branch_replay(
+        self, backend, block_bytes, monkeypatch
+    ):
+        from repro.execution import dispatch
+        from repro.simulation import compile_circuit, simulate
+
+        if block_bytes is not None:  # one row per block after a split
+            monkeypatch.setattr(dispatch, "BLOCK_BYTES", block_bytes)
+
+        c = QCircuit(3)
+        c.push_back(Hadamard(0))
+        c.push_back(RotationY(1, 0.9))
+        c.push_back(CNOT(0, 1))
+        c.push_back(Measurement(0, "x"))
+        c.push_back(CNOT(1, 2))
+        c.push_back(Reset(1, record=True))
+        c.push_back(Hadamard(1))
+        c.push_back(Reset(2))
+        # P(1) = sin^2(0.1) = 0.00997: pruned under atol = 0.05
+        c.push_back(RotationY(2, 0.2))
+        c.push_back(Measurement(2))
+        c.push_back(Measurement(1, "y"))
+        atol = 0.05
+        sim = simulate(
+            c, "000", options=SimulationOptions(backend=backend, atol=atol)
+        )
+        ref = self._per_branch(
+            compile_circuit(c, backend=backend), "000", atol
+        )
+        assert len(ref) == len(sim.branches) == 8
+        for (prob, state, result), branch in zip(ref, sim.branches):
+            assert branch.result == result
+            assert branch.probability == prob
+            assert np.array_equal(branch.state, state)
+        # outcomes: x-basis 0, recorded reset 1, pruned 2, y-basis 1
+        assert {r[2] for r in sim.results} == {"0"}

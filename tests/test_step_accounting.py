@@ -1,32 +1,45 @@
-"""Per-step cost accounting of the plan-replay loops.
+"""Per-step cost accounting and cancellation of the plan-replay loops.
 
-Every loop (statevector, density, serial and batched trajectories)
-times each plan step once: gate steps count one apply per state row
-per branch under their gate kind, attached noise channels count apart
-under ``kind="kraus"``, and collapses land in the measurement
-histogram.
+Every pipeline (statevector, density, serial and batched trajectories)
+times each plan step once: gate steps count one apply per stack row
+under their gate kind, attached noise channels count apart under
+``kind="kraus"``, and collapses land in the measurement histogram.
+Every pipeline also checks a job's cancellation once per step.
 """
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.circuit import Measurement, QCircuit
-from repro.gates import CNOT, Hadamard, RotationZ
+from repro.exceptions import JobCancelledError
+from repro.execution import (
+    DENSITY,
+    SWEEP,
+    TRAJECTORY_BATCH,
+    ExecutionRequest,
+    default_executor,
+)
+from repro.gates import CNOT, Hadamard, RotationY, RotationZ
 from repro.noise import Depolarizing, NoiseModel
 from repro.noise.trajectory import run_trajectories_batched, run_trajectory
 from repro.observability import (
+    EV_STEP_DISPATCH,
     GATE_APPLIES,
     KERNEL_SECONDS,
     MEASUREMENTS,
+    flight_recorder,
     instrument,
 )
+from repro.parameter import Parameter
 from repro.simulation import (
     SimulationOptions,
     compile_circuit,
     simulate,
     simulate_density,
 )
+from repro.simulation.backends import KernelBackend
 from repro.simulation.plan import GATE
 
 
@@ -157,3 +170,77 @@ def test_cancelled_replay_still_records_the_steps_it_ran():
 
     _, inst = _replay(check)
     assert applies_by_kind(inst) == {"1q": 1, "controlled": 1}
+
+
+class _CancelInFirstStep(KernelBackend):
+    """Cancels :attr:`job` from inside every kernel call and counts the
+    calls.  A pipeline that checks cancellation once per step runs the
+    step it was cancelled in, and no other."""
+
+    name = "cancel-in-first-step"
+    job = None
+    calls = 0
+
+    def _call(self):
+        type(self).calls += 1
+        type(self).job.cancel()
+
+    def apply(self, *args, **kwargs):
+        self._call()
+        return super().apply(*args, **kwargs)
+
+    def apply_planned_batched(self, *args, **kwargs):
+        self._call()
+        return super().apply_planned_batched(*args, **kwargs)
+
+    def apply_planned_sweep(self, *args, **kwargs):
+        self._call()
+        return super().apply_planned_sweep(*args, **kwargs)
+
+
+def _layer(theta):
+    c = QCircuit(3)
+    for q in range(3):
+        c.push_back(RotationY(q, theta))
+    c.push_back(CNOT(0, 1))
+    c.push_back(CNOT(1, 2))
+    return c
+
+
+@pytest.mark.parametrize(
+    "kind, extra, calls_per_step, dispatches",
+    [
+        # noisy: unfused, with channels that stay out of the count
+        (TRAJECTORY_BATCH, dict(
+            noise=NoiseModel(gate_noise=Depolarizing(0.1)), shots=4,
+            seed=1,
+        ), 1, 1),
+        # the density loop conjugates each step with two applies and
+        # records no step.dispatch events
+        (DENSITY, {}, 2, 0),
+        (SWEEP, dict(values=np.linspace(0.0, 1.0, 5)), 1, 1),
+    ],
+    ids=["trajectory", "density", "sweep"],
+)
+def test_cancelled_pipeline_stops_within_one_step(
+    kind, extra, calls_per_step, dispatches
+):
+    theta = Parameter("theta") if kind == SWEEP else 0.4
+    circuit = _layer(theta)
+    options = SimulationOptions(backend=_CancelInFirstStep(), fuse=False)
+    assert len(compile_circuit(circuit, fuse=False).steps) == 5
+    executor = default_executor()
+    job = executor.prepare(
+        ExecutionRequest(circuit, kind=kind, options=options, **extra)
+    )
+    # a deadline (far off) engages the per-step checks
+    job.deadline = time.perf_counter() + 3600.0
+    _CancelInFirstStep.job, _CancelInFirstStep.calls = job, 0
+    rec = flight_recorder()
+    mark = rec.recorded
+    executor.execute(job)
+    with pytest.raises(JobCancelledError):
+        job.result()
+    assert _CancelInFirstStep.calls == calls_per_step
+    steps = [e for e in rec.events(EV_STEP_DISPATCH) if e.seq > mark]
+    assert len(steps) == dispatches
