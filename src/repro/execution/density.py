@@ -123,8 +123,6 @@ def initial_density(start, nb_qubits, dtype) -> np.ndarray:
     """Initial ``2^n x 2^n`` density matrix from a start specifier
     (bitstring, state vector, or density matrix; ``None`` = all zeros)."""
     dim = 1 << nb_qubits
-    if start is None:
-        start = "0" * nb_qubits
     arr = np.asarray(start) if not isinstance(start, str) else None
     if arr is not None and arr.ndim == 2:
         rho0 = np.array(arr, dtype=dtype)

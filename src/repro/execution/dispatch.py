@@ -44,9 +44,9 @@ from repro.observability.recorder import (
 )
 from repro.simulation.backends import Backend
 from repro.simulation.plan import GATE, MEASURE
+from repro.simulation.state import initial_state
 
 __all__ = [
-    "BLOCK_BYTES",
     "Branch",
     "Branching",
     "KRAUS",
@@ -188,13 +188,6 @@ def apply_operation(
     )
 
 
-#: Most bytes of the row blocks a splitting collapse regroups children
-#: into (at least one row each).  One 16 MB stack of four 18-qubit
-#: branches cannot reuse the 4 MB heap holes of single-branch runs:
-#: sv-ladder's peak RSS rose 11% before this split.
-BLOCK_BYTES = 1 << 22
-
-
 class Branching:
     """The statevector collapse policy: every row splits into one child
     row per outcome whose probability is above ``atol``.  Children keep
@@ -224,8 +217,8 @@ class Branching:
         for i, row in enumerate(rows):
             # P(0), P(1): Section 3.3's amplitude sums
             mags = np.abs(row.reshape(1 << qubit, 2, -1)) ** 2
-            p0 = float(np.sum(mags[:, 0, :]))
-            p1 = float(np.sum(mags[:, 1, :]))
+            p0 = float(mags[:, 0, :].sum())
+            p1 = float(mags[:, 1, :].sum())
             total = p0 + p1
             for outcome, p in ((0, p0), (1, p1)):
                 if p / total <= self.atol:
@@ -250,9 +243,10 @@ def collapse(engine, blocks, step, nb_qubits, policy):
     of row blocks).
 
     ``policy.choose`` picks each child row's parent, outcome and
-    probability; ``parents`` is ``None`` when every row collapses in
-    place, else the children are regrouped into blocks of at most
-    :data:`BLOCK_BYTES`.  A measurement zeroes the other outcome's half
+    probability.  When every row keeps one outcome (``parents`` is
+    ``None``) the rows collapse in place; otherwise each child is a
+    copy of its parent row in a one-row block of its own, the
+    per-branch layout.  A measurement zeroes the other outcome's half
     of the row; a reset moves the kept half to ``|0>`` and zeroes
     ``|1>`` (the copy-and-zero rule).  Either way the row is then
     renormalized.  Other bases rotate to Z before and back after.
@@ -267,32 +261,24 @@ def collapse(engine, blocks, step, nb_qubits, policy):
             for b in blocks
         ]
     parents, outcomes, probs = policy.choose(blocks, qubit, nb_qubits)
-    if parents is not None and len(blocks) == 1:
-        (stack,) = blocks
-        per = max(1, BLOCK_BYTES // stack[0].nbytes)
-        blocks = [
-            stack[parents[k:k + per]] for k in range(0, len(parents), per)
-        ]
-    elif parents is not None:
+    if parents is not None:
         rows = [row for block in blocks for row in block]
-        per = max(1, BLOCK_BYTES // rows[0].nbytes)
-        blocks = [
-            np.stack([rows[i] for i in parents[k:k + per]])
-            for k in range(0, len(parents), per)
-        ]
+        blocks = [rows[i][None].copy() for i in parents]
+    other = 1 - outcomes
+    scale = (1.0 / np.sqrt(probs))[:, None]
     start = 0
     for block in blocks:
-        at = slice(start, start + len(block))
-        start += len(block)
-        view = block.reshape(len(block), 1 << qubit, 2, -1)
-        ones = outcomes[at].astype(bool)
+        n = len(block)
+        at = slice(start, start + n)
+        start += n
+        view = block.reshape(n, 1 << qubit, 2, -1)
         if meas is not None:
-            view[ones, :, 0, :] = 0.0
-            view[~ones, :, 1, :] = 0.0
+            view[np.arange(n), :, other[at], :] = 0.0
         else:
+            ones = outcomes[at] == 1
             view[ones, :, 0, :] = view[ones, :, 1, :]
             view[:, :, 1, :] = 0.0
-        block *= (1.0 / np.sqrt(probs[at]))[:, None]
+        block *= scale[at]
     if rotate:
         blocks = [
             engine.apply_batched(
@@ -319,8 +305,8 @@ class Replay(NamedTuple):
         view of its final block."""
         rows = (row for block in self.blocks for row in block)
         return [
-            Branch(float(w), row, r)
-            for w, row, r in zip(self.weights, rows, self.results)
+            Branch(w, row, r)
+            for w, row, r in zip(self.weights.tolist(), rows, self.results)
         ]
 
 
@@ -329,8 +315,8 @@ def _bit_matrix_to_strings(columns: list, rows: int) -> List[str]:
     if not columns:
         return [""] * rows
     width = len(columns)
-    text = (np.stack(columns, axis=1) + ord("0")).astype(np.uint8)
-    text = text.tobytes().decode("ascii")
+    text = (np.array(columns, dtype=np.uint8).T + ord("0")).tobytes()
+    text = text.decode("ascii")
     return [text[i:i + width] for i in range(0, len(text), width)]
 
 
@@ -362,10 +348,11 @@ def run_plan(plan, state, atol, inst=None, check=None, *, policy=None,
     """Replay a compiled plan on a stack of rows — THE replay loop.
 
     ``state`` is one ``(2**n,)`` state or a ``(B, 2**n)`` stack; every
-    row starts with weight 1 and no outcomes.  Gate steps run once per
-    block of rows through ``apply_planned_batched``, each block
-    double-buffered against a spare; the stack is one block until a
-    collapse splits rows (see :data:`BLOCK_BYTES`).  Given sweep value
+    row starts with weight 1 and no outcomes; the replay owns the
+    array.  The stack is one block of rows until a collapse splits
+    them, then one block per row (see :func:`collapse`).  Gate steps
+    run once per block through ``apply_planned_batched``,
+    double-buffered against one spare.  Given sweep value
     columns ``cols``, a parametric step applies one kernel per row
     through ``apply_planned_sweep`` instead; without them it uses the
     plan's bound kernel.  Measure and reset steps go to
@@ -383,11 +370,11 @@ def run_plan(plan, state, atol, inst=None, check=None, *, policy=None,
     keeps each step's reading and appends the events in step order
     when the replay ends, also when it is cancelled or fails: time
     spent building an event between two readings would land in
-    neither.  With an enabled ``inst`` the replay runs inside the
-    ``span`` span (none when ``span`` is ``None``), each reading also
-    goes to a :class:`StepMeter`, and after the span closes the meter
-    and the stack's byte and row high-water gauges are folded into the
-    registry.
+    neither.  With an enabled ``inst`` each reading also goes to a
+    :class:`StepMeter`, folded into the registry when the replay ends.
+    A statevector run also gets its ``span`` span and, after it
+    closes, the byte and branch high-water gauges; the adapters pass
+    ``span=None``, as their own spans and metrics cover the batch.
     """
     engine = plan.engine
     nb_qubits = plan.nb_qubits
@@ -399,10 +386,11 @@ def run_plan(plan, state, atol, inst=None, check=None, *, policy=None,
     weights = np.ones(rows)
     columns: list = []  # recorded outcome columns, one per record
     measurements = []
-    highwater = blocks[0].nbytes
-    # a spare never aliases a live block: a swap always retires the
-    # buffer the block just left, and a collapse drops them
-    spares = [None]
+    row_bytes = blocks[0][0].nbytes
+    highwater = rows * row_bytes
+    # one spare for every block: a swap always retires the buffer the
+    # block just left, so it never aliases a live block
+    spare = None
     dispatched = []  # (op kind, seconds, rows) per step run
     meter = step_meter(inst, engine)
     scope = (
@@ -417,8 +405,8 @@ def run_plan(plan, state, atol, inst=None, check=None, *, policy=None,
                 t0 = perf_counter()
                 if step.kind == GATE:
                     for i, block in enumerate(blocks):
-                        blocks[i], spares[i] = _gate(
-                            plan, block, step, spares[i], cols
+                        blocks[i], spare = _gate(
+                            plan, block, step, spare, cols
                         )
                     op_kind = step_kind(step)
                     if meter is not None:
@@ -437,11 +425,10 @@ def run_plan(plan, state, atol, inst=None, check=None, *, policy=None,
                         ]
                     dispatched.append((op_kind, perf_counter() - t0, rows))
                     continue
-                spares = None  # freed before the children are made
+                spare = None  # freed before the children are made
                 blocks, parents, outcomes, probs = collapse(
                     engine, blocks, step, nb_qubits, policy
                 )
-                spares = [None] * len(blocks)
                 if parents is not None:
                     rows = len(parents)
                     weights = weights[parents]
@@ -459,7 +446,7 @@ def run_plan(plan, state, atol, inst=None, check=None, *, policy=None,
                 dispatched.append((op_kind, dt, rows))
                 if meter is not None:
                     meter.collapse(op_kind, dt)
-                live = sum(b.nbytes for b in blocks)
+                live = rows * row_bytes
                 if live > highwater:
                     highwater = live
                     record_event(
@@ -473,6 +460,7 @@ def run_plan(plan, state, atol, inst=None, check=None, *, policy=None,
             )
         if meter is not None:
             meter.flush()
+        if meter is not None and span is not None:
             # rows only ever split, so the final count and the byte
             # high-water mark are the run's maxima
             inst.metrics.gauge(
@@ -499,12 +487,7 @@ def run_sweep(plan, cols: Mapping, nb_points: int, start=None,
     entry).  Emits the ``param.sweep`` span, the swept-points metric
     and the ``plan.sweep`` recorder event.
     """
-    from repro.simulation.state import initial_state
-
-    nb_qubits = plan.nb_qubits
-    if start is None:
-        start = "0" * nb_qubits
-    init = initial_state(start, nb_qubits, dtype=plan.dtype)
+    init = initial_state(start, plan.nb_qubits, plan.dtype)
     inst = current_instrumentation()
     t_sweep = perf_counter()
     with inst.span(

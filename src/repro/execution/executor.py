@@ -238,7 +238,6 @@ class Executor:
         opts = req.options
         engine = get_backend(opts.backend)
         nb_qubits = req.circuit.nbQubits
-        start = "0" * nb_qubits if req.start is None else req.start
         from repro.simulation.simulate import Simulation
 
         with inst.span(
@@ -266,7 +265,7 @@ class Executor:
                 # built in the call, so that the replay holds the start
                 # buffer alone and a collapse can free it
                 replay = run_plan(
-                    plan, initial_state(start, nb_qubits, dtype=opts.dtype),
+                    plan, initial_state(req.start, nb_qubits, opts.dtype),
                     opts.atol, inst, check=self._check(job),
                 )
                 stats.execute_seconds = perf_counter() - t0

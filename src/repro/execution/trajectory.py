@@ -199,11 +199,7 @@ def execute_batch(plan, channels, noise, start, draws, dtype, inst=None,
     ``(B, 2**n)`` states.  ``inst`` and ``check`` are
     :func:`~repro.execution.dispatch.run_plan`'s.
     """
-    base = initial_state(
-        start if start is not None else "0" * plan.nb_qubits,
-        plan.nb_qubits,
-        dtype=dtype,
-    )
+    base = initial_state(start, plan.nb_qubits, dtype)
     replay = run_plan(
         plan, np.tile(base, (draws.shape[0], 1)), None, inst, check,
         policy=Sampling(draws, channels, noise.readout_error), span=None,

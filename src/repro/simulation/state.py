@@ -33,8 +33,8 @@ def initial_state(start, nb_qubits: int, dtype=np.complex128) -> np.ndarray:
     Parameters
     ----------
     start:
-        A bitstring of length ``nb_qubits`` or an array of length
-        ``2**nb_qubits`` with unit 2-norm.
+        A bitstring of length ``nb_qubits``, an array of length
+        ``2**nb_qubits`` with unit 2-norm, or ``None`` for all zeros.
     nb_qubits:
         Register width.
 
@@ -43,6 +43,8 @@ def initial_state(start, nb_qubits: int, dtype=np.complex128) -> np.ndarray:
     numpy.ndarray
         A fresh, owned ``complex`` copy (safe to mutate in place).
     """
+    if start is None:
+        start = "0" * nb_qubits
     if isinstance(start, str):
         if len(start) != nb_qubits:
             raise StateError(

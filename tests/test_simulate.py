@@ -376,10 +376,9 @@ class TestBackendParity:
 
 
 class TestStackedBranches:
-    """The one replay loop runs every branch as a row of one stack (in
-    blocks of rows); a per-branch replay through ``apply_planned`` (the
-    Section 3.3 model, one state per branch) is its reference, to the
-    bit."""
+    """The one replay loop runs every branch as a row of its stack; a
+    per-branch replay through ``apply_planned`` (the Section 3.3 model,
+    one state per branch) is its reference, to the bit."""
 
     @staticmethod
     def _per_branch(plan, start, atol):
@@ -429,16 +428,9 @@ class TestStackedBranches:
             branches = split
         return branches
 
-    @pytest.mark.parametrize("block_bytes", [None, 1])
     @pytest.mark.parametrize("backend", ["kernel", "sparse"])
-    def test_branches_match_a_per_branch_replay(
-        self, backend, block_bytes, monkeypatch
-    ):
-        from repro.execution import dispatch
+    def test_branches_match_a_per_branch_replay(self, backend):
         from repro.simulation import compile_circuit, simulate
-
-        if block_bytes is not None:  # one row per block after a split
-            monkeypatch.setattr(dispatch, "BLOCK_BYTES", block_bytes)
 
         c = QCircuit(3)
         c.push_back(Hadamard(0))

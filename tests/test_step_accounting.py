@@ -25,10 +25,12 @@ from repro.gates import CNOT, Hadamard, RotationY, RotationZ
 from repro.noise import Depolarizing, NoiseModel
 from repro.noise.trajectory import run_trajectories_batched, run_trajectory
 from repro.observability import (
+    BRANCHES_MAX,
     EV_STEP_DISPATCH,
     GATE_APPLIES,
     KERNEL_SECONDS,
     MEASUREMENTS,
+    STATE_BYTES_MAX,
     flight_recorder,
     instrument,
 )
@@ -133,6 +135,26 @@ def test_noisy_density_and_serial_runs_show_kraus_rows():
         kinds = {r["kind"] for r in inst.report().op_table()}
         assert "kraus" in kinds
         assert inst.metrics.get(MEASUREMENTS).total_sum() > 0
+
+
+def test_high_water_gauges_count_branches_only():
+    """Trajectory shots and sweep points are rows of the same stack as
+    branches, but only a statevector run sets the branch and byte
+    high-water gauges."""
+    with instrument() as inst:
+        run_trajectories_batched(
+            noisy_circuit(), NoiseModel(gate_noise=Depolarizing(0.1)),
+            shots=32, seed=5,
+        )
+        c = QCircuit(2)
+        c.push_back(RotationY(0, Parameter("t")))
+        c.sweep({"t": np.linspace(0.0, 1.0, 16)})
+    assert inst.metrics.get(BRANCHES_MAX) is None
+    assert inst.metrics.get(STATE_BYTES_MAX) is None
+    with instrument() as inst:
+        simulate(x_measured_bell(), "00")
+    assert inst.metrics.get(BRANCHES_MAX).value() == 2
+    assert inst.metrics.get(STATE_BYTES_MAX).value() == 2 * 4 * 16
 
 
 def _replay(check):
