@@ -2,12 +2,13 @@
 
 :func:`run_plan` replays a plan on a ``(B, 2**n)`` stack of rows, each
 with a weight and the outcomes it recorded: one row for ``simulate``,
-one per shot for a trajectory batch
+one that holds every shot for a trajectory batch
 (:func:`~repro.execution.trajectory.execute_batch`), one per point for
 a sweep (:func:`run_sweep`).  Measure and reset steps go to one
 :func:`collapse` helper under a policy: :class:`Branching` splits each
 row per outcome, :class:`~repro.execution.trajectory.Sampling` draws
-one.  The per-step cancellation hook, every ``step.dispatch``
+one per shot and splits a row only where its shots disagree.  The
+per-step cancellation hook, every ``step.dispatch``
 flight-recorder event, the :class:`StepMeter` readings and the
 high-water gauges live only in this loop.  :func:`run_unitary` keeps
 the ``(dim, m)`` column form of ``QCircuit.matrix``.  Result objects
@@ -97,7 +98,8 @@ class StepMeter:
 
     * gate steps -> ``repro_gate_applies_total`` /
       ``repro_kernel_seconds`` / ``repro_kernel_bytes_total`` under
-      ``kind=step_kind(step)``, one apply per stack row;
+      ``kind=step_kind(step)``, one apply per branch, shot or sweep
+      point;
     * noise channels attached to a gate step -> the same series under
       ``kind="kraus"``, one reading per noisy qubit;
     * measure/reset steps (basis changes included) ->
@@ -193,28 +195,35 @@ class Branching:
     row per outcome whose probability is above ``atol``.  Children keep
     their parent's order, outcome 0 first.
 
-    A collapse policy has three hooks.  :meth:`choose` picks the
-    outcomes of a measure/reset step; :meth:`observed` maps a
-    measurement's outcomes to the recorded ones; ``noise``, when not
-    ``None``, runs after every gate step.  Only the trajectory policy
+    A collapse policy has three hooks and one attribute.
+    :meth:`choose` picks the outcomes of a measure/reset step and lays
+    out the child rows; :meth:`observed` maps a recorded step's
+    outcomes to the recorded ones; ``noise``, when not ``None``, runs
+    after every gate step; ``shot_row``, when not ``None``, maps each
+    shot to the row that holds its state, and the results are per
+    shot instead of per row.  Only the trajectory policy
     (:class:`repro.execution.trajectory.Sampling`) does anything in the
-    last two.
+    last three.
     """
 
     #: Statevector gate steps carry no channels.
     noise = None
+    #: Every branch row is its own result.
+    shot_row = None
 
     def __init__(self, atol):
         self.atol = atol
 
-    def choose(self, blocks, qubit, nb_qubits):
-        """``(parents, outcomes, probs)``: the row each child copies
-        (``None`` when every row keeps exactly one outcome, so rows
-        collapse in place), the outcome it keeps and that outcome's
-        probability."""
+    def choose(self, blocks, rows, qubit, nb_qubits):
+        """``(blocks, parents, outcomes, probs)``: the child rows, the
+        row each child copies, the outcome it keeps and that outcome's
+        probability.  When every row keeps exactly one outcome the
+        rows are the children and ``parents`` is ``None``; otherwise
+        each child is a copy of its parent row in a one-row block of
+        its own, the per-branch layout."""
         parents, outcomes, probs = [], [], []
-        rows = [row for block in blocks for row in block]
-        for i, row in enumerate(rows):
+        flat = [row for block in blocks for row in block]
+        for i, row in enumerate(flat):
             # P(0), P(1): Section 3.3's amplitude sums
             mags = np.abs(row.reshape(1 << qubit, 2, -1)) ** 2
             p0 = float(mags[:, 0, :].sum())
@@ -226,63 +235,85 @@ class Branching:
                 parents.append(i)
                 outcomes.append(outcome)
                 probs.append(p / total)
+        if parents == list(range(len(flat))):
+            parents = None
+        else:
+            blocks = [flat[i][None].copy() for i in parents]
+            parents = np.array(parents, dtype=np.intp)
         return (
-            None if parents == list(range(len(rows)))
-            else np.array(parents, dtype=np.intp),
+            blocks, parents,
             np.array(outcomes, dtype=np.int64),
             np.array(probs, dtype=float),
         )
 
-    def observed(self, outcomes):
+    def observed(self, outcomes, measured):
         """Branches record the outcomes they collapsed to."""
         return outcomes
 
 
-def collapse(engine, blocks, step, nb_qubits, policy):
-    """Measure or reset ``step.qubit`` on every row of the stack (a list
-    of row blocks).
+def _live(block, rows):
+    """A block's live rows: its first ``rows``, or the whole block when
+    it holds no room past them."""
+    return block if len(block) <= rows else block[:rows]
+
+
+def collapse(engine, blocks, rows, step, nb_qubits, policy):
+    """Measure or reset ``step.qubit`` on the ``rows`` live rows of the
+    stack (a list of row blocks).
 
     ``policy.choose`` picks each child row's parent, outcome and
-    probability.  When every row keeps one outcome (``parents`` is
-    ``None``) the rows collapse in place; otherwise each child is a
-    copy of its parent row in a one-row block of its own, the
-    per-branch layout.  A measurement zeroes the other outcome's half
-    of the row; a reset moves the kept half to ``|0>`` and zeroes
-    ``|1>`` (the copy-and-zero rule).  Either way the row is then
-    renormalized.  Other bases rotate to Z before and back after.
-    Returns ``(blocks, parents, outcomes, probs)``.
+    probability and lays the children out: the rows themselves when
+    every row keeps one outcome (``parents`` is ``None``), one-row
+    copies per branch (:class:`Branching`), or the rows plus appended
+    copies (:class:`~repro.execution.trajectory.Sampling`).  A
+    measurement zeroes the other outcome's half of the row; a reset
+    moves the kept half to ``|0>`` and zeroes ``|1>`` (the
+    copy-and-zero rule).  Either way the row is then renormalized.
+    Other bases rotate to Z before and back after.  Returns
+    ``(blocks, parents, outcomes, probs)``.
     """
     qubit = step.qubit
     meas = step.op if step.kind == MEASURE else None
     rotate = meas is not None and meas.basis != "z"
     if rotate:
         blocks = [
-            engine.apply_batched(b, meas.basis_change, [qubit], nb_qubits)
+            engine.apply_batched(
+                _live(b, rows), meas.basis_change, [qubit], nb_qubits
+            )
             for b in blocks
         ]
-    parents, outcomes, probs = policy.choose(blocks, qubit, nb_qubits)
-    if parents is not None:
-        rows = [row for block in blocks for row in block]
-        blocks = [rows[i][None].copy() for i in parents]
-    other = 1 - outcomes
+    blocks, parents, outcomes, probs = policy.choose(
+        blocks, rows, qubit, nb_qubits
+    )
+    rows = len(outcomes)
     scale = (1.0 / np.sqrt(probs))[:, None]
     start = 0
     for block in blocks:
-        n = len(block)
+        states = _live(block, rows)
+        n = len(states)
         at = slice(start, start + n)
-        start += n
-        view = block.reshape(n, 1 << qubit, 2, -1)
-        if meas is not None:
-            view[np.arange(n), :, other[at], :] = 0.0
+        view = states.reshape(n, 1 << qubit, 2, -1)
+        if n == 1:  # one row: plain slices, no index arrays
+            kept = int(outcomes[start])
+            if meas is not None:
+                view[:, :, 1 - kept, :] = 0.0
+            else:
+                if kept:
+                    view[:, :, 0, :] = view[:, :, 1, :]
+                view[:, :, 1, :] = 0.0
+        elif meas is not None:
+            view[np.arange(n), :, 1 - outcomes[at], :] = 0.0
         else:
             ones = outcomes[at] == 1
             view[ones, :, 0, :] = view[ones, :, 1, :]
             view[:, :, 1, :] = 0.0
-        block *= scale[at]
+        states *= scale[at]
+        start += n
     if rotate:
         blocks = [
             engine.apply_batched(
-                b, meas.basis_change_dagger, [qubit], nb_qubits
+                _live(b, rows), meas.basis_change_dagger, [qubit],
+                nb_qubits,
             )
             for b in blocks
         ]
@@ -292,13 +323,17 @@ def collapse(engine, blocks, step, nb_qubits, policy):
 class Replay(NamedTuple):
     """What :func:`run_plan` returns: the final stack as row blocks (one
     block unless branches split), each row's weight (the probability of
-    the outcomes it collapsed to) and recorded outcome string, and the
-    recorded ``(qubit, op)`` pairs in plan order."""
+    the outcomes it collapsed to), the recorded outcome strings, the
+    recorded ``(qubit, op)`` pairs in plan order, and the policy's
+    ``shot_row`` map.  The strings are per row when ``shot_row`` is
+    ``None``, else per shot, and shot ``i``'s state is row
+    ``shot_row[i]``."""
 
     blocks: list
     weights: np.ndarray
     results: List[str]
     measurements: list
+    shot_row: np.ndarray
 
     def branches(self) -> List[Branch]:
         """The rows as :class:`Branch` objects; each state is a row
@@ -320,27 +355,32 @@ def _bit_matrix_to_strings(columns: list, rows: int) -> List[str]:
     return [text[i:i + width] for i in range(0, len(text), width)]
 
 
-def _gate(plan, states, step, spare, cols):
-    """One gate step on a block of rows, written into ``spare`` where
-    the backend can; returns the new ``(states, spare)`` pair."""
+def _gate(plan, block, rows, step, spare, cols):
+    """One gate step on a block's live rows, written into ``spare``
+    where the backend can; returns the new ``(block, spare)`` pair."""
+    states = _live(block, rows)
     if (
         spare is None
-        or spare.shape != states.shape
+        or len(spare) < len(states)
+        or spare.shape[1:] != states.shape[1:]
         or spare.dtype != states.dtype
     ):
-        spare = np.empty_like(states)
+        spare = np.empty_like(block)
+    out = _live(spare, len(states))
     if cols is not None and step.param is not None:
         kernels = step.op.kernel_values(step.param.resolve_batch(cols))
         res = plan.engine.apply_planned_sweep(
             states, step, plan.nb_qubits,
             np.ascontiguousarray(kernels.astype(plan.dtype, copy=False)),
-            out=spare,
+            out=out,
         )
     else:
         res = plan.engine.apply_planned_batched(
-            states, step, plan.nb_qubits, out=spare
+            states, step, plan.nb_qubits, out=out
         )
-    return res, (states if res is spare else spare)
+    if res is out:
+        return spare, block
+    return (block if res is states else res), spare
 
 
 def run_plan(plan, state, atol, inst=None, check=None, *, policy=None,
@@ -350,13 +390,17 @@ def run_plan(plan, state, atol, inst=None, check=None, *, policy=None,
     ``state`` is one ``(2**n,)`` state or a ``(B, 2**n)`` stack; every
     row starts with weight 1 and no outcomes; the replay owns the
     array.  The stack is one block of rows until a collapse splits
-    them, then one block per row (see :func:`collapse`).  Gate steps
-    run once per block through ``apply_planned_batched``,
-    double-buffered against one spare.  Given sweep value
-    columns ``cols``, a parametric step applies one kernel per row
-    through ``apply_planned_sweep`` instead; without them it uses the
-    plan's bound kernel.  Measure and reset steps go to
-    :func:`collapse` under ``policy`` — :class:`Branching` with
+    them into one block per row (:class:`Branching`, see
+    :func:`collapse`).  A trajectory batch
+    (:class:`~repro.execution.trajectory.Sampling`) instead starts as
+    one row that holds every shot and stays one block: a step whose
+    shots disagree appends rows to it, and ``rows`` counts the live
+    ones.  Gate steps run once per block, on its live rows, through
+    ``apply_planned_batched``, double-buffered against one spare.
+    Given sweep value columns ``cols``, a parametric step applies one
+    kernel per row through ``apply_planned_sweep`` instead; without
+    them it uses the plan's bound kernel.  Measure and reset steps go
+    to :func:`collapse` under ``policy`` — :class:`Branching` with
     ``atol`` when ``None``.
 
     ``check`` is the cancellation hook: a zero-argument callable
@@ -366,20 +410,23 @@ def run_plan(plan, state, atol, inst=None, check=None, *, policy=None,
     deadline or a cancel request.  ``None`` costs nothing.
 
     Every step adds one ``step.dispatch`` event (op kind, qubit count,
-    wall ns, row count) to the always-on flight recorder.  The loop
-    keeps each step's reading and appends the events in step order
-    when the replay ends, also when it is cancelled or fails: time
-    spent building an event between two readings would land in
-    neither.  With an enabled ``inst`` each reading also goes to a
-    :class:`StepMeter`, folded into the registry when the replay ends.
-    A statevector run also gets its ``span`` span and, after it
-    closes, the byte and branch high-water gauges; the adapters pass
-    ``span=None``, as their own spans and metrics cover the batch.
+    wall ns, live rows after the step) to the always-on flight
+    recorder.  The loop keeps each step's reading and appends the
+    events in step order when the replay ends, also when it is
+    cancelled or fails: time spent building an event between two
+    readings would land in neither.  With an enabled ``inst`` each
+    reading also goes to a :class:`StepMeter` (gate applies count one
+    per row, or one per shot under a ``shot_row`` map), folded into
+    the registry when the replay ends.  A statevector run also gets
+    its ``span`` span and, after it closes, the byte and branch
+    high-water gauges; the adapters pass ``span=None``, as their own
+    spans and metrics cover the batch.
     """
     engine = plan.engine
     nb_qubits = plan.nb_qubits
     if policy is None:
         policy = Branching(atol)
+    shot_row = policy.shot_row  # None: every row is its own result
     blocks = [state.reshape(-1, state.shape[-1])]
     del state  # the stack views it; once a collapse drops it, it is freed
     rows = len(blocks[0])
@@ -387,7 +434,8 @@ def run_plan(plan, state, atol, inst=None, check=None, *, policy=None,
     columns: list = []  # recorded outcome columns, one per record
     measurements = []
     row_bytes = blocks[0][0].nbytes
-    highwater = rows * row_bytes
+    # a trajectory stack may grow to one row per shot
+    highwater = (rows if shot_row is None else len(shot_row)) * row_bytes
     # one spare for every block: a swap always retires the buffer the
     # block just left, so it never aliases a live block
     spare = None
@@ -406,42 +454,45 @@ def run_plan(plan, state, atol, inst=None, check=None, *, policy=None,
                 if step.kind == GATE:
                     for i, block in enumerate(blocks):
                         blocks[i], spare = _gate(
-                            plan, block, step, spare, cols
+                            plan, block, rows, step, spare, cols
                         )
                     op_kind = step_kind(step)
                     if meter is not None:
                         meter.kernel(
-                            op_kind, rows,
+                            op_kind,
+                            rows if shot_row is None else len(shot_row),
                             sum(
-                                engine.planned_bytes(step, b, nb_qubits)
+                                engine.planned_bytes(
+                                    step, _live(b, rows), nb_qubits
+                                )
                                 for b in blocks
                             ),
                             perf_counter() - t0,
                         )
                     if policy.noise is not None:
-                        blocks = [
-                            policy.noise(engine, b, step, nb_qubits, meter)
-                            for b in blocks
-                        ]
+                        blocks, parents = policy.noise(
+                            engine, blocks, rows, step, nb_qubits, meter
+                        )
+                        if parents is not None:
+                            rows = len(parents)
+                            weights = weights[parents]
                     dispatched.append((op_kind, perf_counter() - t0, rows))
                     continue
                 spare = None  # freed before the children are made
                 blocks, parents, outcomes, probs = collapse(
-                    engine, blocks, step, nb_qubits, policy
+                    engine, blocks, rows, step, nb_qubits, policy
                 )
                 if parents is not None:
                     rows = len(parents)
                     weights = weights[parents]
-                    columns = [c[parents] for c in columns]
+                    if shot_row is None:
+                        columns = [c[parents] for c in columns]
                 weights = weights * probs
-                if step.kind == MEASURE:
-                    op_kind = "measure"
-                    outcomes = policy.observed(outcomes)
-                else:  # RESET
-                    op_kind = "reset"
-                if op_kind == "measure" or step.op.record:
+                measured = step.kind == MEASURE
+                op_kind = "measure" if measured else "reset"
+                if measured or step.op.record:
                     measurements.append((step.qubit, step.op))
-                    columns.append(outcomes)
+                    columns.append(policy.observed(outcomes, measured))
                 dt = perf_counter() - t0
                 dispatched.append((op_kind, dt, rows))
                 if meter is not None:
@@ -471,8 +522,11 @@ def run_plan(plan, state, atol, inst=None, check=None, *, policy=None,
                 BRANCHES_MAX, "high-water simultaneous measurement branches"
             ).set_max(rows)
     return Replay(
-        blocks, weights, _bit_matrix_to_strings(columns, rows),
-        measurements,
+        [_live(b, rows) for b in blocks], weights,
+        _bit_matrix_to_strings(
+            columns, rows if shot_row is None else len(shot_row)
+        ),
+        measurements, shot_row,
     )
 
 

@@ -353,11 +353,12 @@ class Executor:
                 for done in range(0, shots, batch_size)
             ]
             # the parent owns the stream: every batch's uniforms are
-            # drawn here, in order, so workers receive randomness
-            # instead of seeds
-            draw_blocks = [
+            # drawn here, in batch order, so workers receive randomness
+            # instead of seeds; an inline run draws each block just
+            # before its batch runs, so one block is alive at a time
+            draw_blocks = (
                 rng.random((size, draws_per_shot)) for size in sizes
-            ]
+            )
 
             requested = min(int(opts.max_workers), max(1, len(sizes)))
             workers = requested
@@ -444,7 +445,7 @@ class Executor:
                     ):
                         res, states = traj.execute_batch(
                             plan, channels, noise, req.start,
-                            block, opts.dtype, inst, check,
+                            block, opts.dtype, inst, check, keep_states,
                         )
                     record_event(
                         EV_BATCH_EXECUTE,

@@ -94,16 +94,19 @@ class NoiseChannel:
         identity, i.e. branch probabilities do not depend on the state."""
         return self._cum is not None
 
-    def select(self, states: np.ndarray, qubit: int, r: np.ndarray):
-        """Each row's branch of a ``(B, 2**n)`` batch on ``qubit``.
+    def select(self, states: np.ndarray, qubit: int, r: np.ndarray,
+               rows=None):
+        """Each uniform's branch on ``qubit`` of a ``(B, 2**n)`` batch.
 
-        Row ``b`` takes the first branch whose cumulative probability
-        exceeds its uniform ``r[b]``, else the last possible one.
-        Returns ``(index, branches, probs)``.  A unitary mixture reads
-        no state: its branches are ``K_i / sqrt(p_i)`` (``None`` for
-        the identity and ``p_i = 0``) and ``probs`` is ``None``.  Else
-        the branches are ``K_i`` and ``probs`` the ``(B, m)`` row
-        probabilities, from one pass, that renormalize picked rows.
+        Uniform ``r[j]`` belongs to row ``rows[j]`` (row ``j`` when
+        ``rows`` is ``None``) and takes the first branch whose
+        cumulative probability in that row exceeds it, else the row's
+        last possible one.  Returns ``(index, branches, probs)``, one
+        index per uniform.  A unitary mixture reads no state: its
+        branches are ``K_i / sqrt(p_i)`` (``None`` for the identity
+        and ``p_i = 0``) and ``probs`` is ``None``.  Else the branches
+        are ``K_i`` and ``probs`` the ``(B, m)`` row probabilities,
+        from one pass, that renormalize picked rows.
         """
         if self._cum is not None:
             index = np.searchsorted(self._cum, r, side="right")
@@ -117,8 +120,10 @@ class NoiseChannel:
                 "Kraus sampling failed to select an operator"
             )
         cum = np.cumsum(probs, axis=1)
-        index = np.count_nonzero(cum <= r[:, None], axis=1)
         last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
+        if rows is not None:
+            cum, last = cum[rows], last[rows]
+        index = np.count_nonzero(cum <= r[:, None], axis=1)
         return np.minimum(index, last), self._branches, probs
 
     @property

@@ -9,21 +9,24 @@ the open-system statistics exactly, at state-vector cost per shot.
 
 Two entry points share this module — both thin wrappers submitting a
 request to the unified execution core, whose one replay loop
-(:func:`repro.execution.dispatch.run_plan`) runs every shot as a row
-of its stack (:func:`repro.execution.trajectory.execute_batch`):
+(:func:`repro.execution.dispatch.run_plan`) runs each batch of shots
+on one stack (:func:`repro.execution.trajectory.execute_batch`):
 
 :func:`run_trajectory`
     One shot, one ``(2**n,)`` state: a one-shot batch.
 
 :func:`run_trajectories_batched`
-    ``B`` shots as a single ``(B, 2**n)`` array; every compiled plan
-    step executes ONCE across the whole batch and all stochastic
-    choices (Kraus selection, measurement collapse, readout flips) are
-    vectorized over the batch axis.  Shot counts beyond one batch fan
-    out over worker processes.  Shot ``i`` consumes its own fixed
-    slice of the seed stream, so for a fixed seed the outcomes are
-    independent of ``batch_size`` and ``max_workers``, and identical
-    to a loop of :func:`run_trajectory` calls sharing one generator.
+    ``B`` shots per batch on one ``(rows, 2**n)`` stack whose rows are
+    the batch's distinct states: it starts as one row holding every
+    shot and splits a row only where its shots draw different
+    branches, so every compiled plan step executes ONCE across the
+    live rows and all stochastic choices (Kraus selection, measurement
+    collapse, readout flips) are vectorized over the shots.  Shot
+    counts beyond one batch fan out over worker processes.  Shot ``i``
+    consumes its own fixed slice of the seed stream, so for a fixed
+    seed the outcomes are independent of ``batch_size`` and
+    ``max_workers``, and identical to a loop of :func:`run_trajectory`
+    calls sharing one generator.
 """
 
 from __future__ import annotations
@@ -148,24 +151,29 @@ def run_trajectories_batched(
     """Sample ``shots`` noisy trajectories through the batched engine.
 
     The shots are partitioned into batches of
-    ``options.batch_size`` rows (memory-aware default) and each batch
-    executes as ONE ``(B, 2**n)`` array: every compiled plan step is
-    applied once across the batch and the stochastic choices are
-    vectorized — Kraus selection via one uniform per row and a
-    cumulative-probability scan, each branch applied only to the rows
-    that drew it (identity rows of a Pauli channel are not touched),
-    measurement collapse via per-row outcome sampling and masked
-    renormalization, readout error as a vectorized bit flip.
+    ``options.batch_size`` shots (memory-aware default) and each batch
+    executes on ONE stack of at most ``batch_size`` rows, one per
+    distinct state: the batch starts as one row holding every shot,
+    every compiled plan step is applied once across the live rows, and
+    the stochastic choices are vectorized over the shots — Kraus
+    selection via one uniform per shot and a cumulative-probability
+    scan, measurement collapse via per-shot outcome sampling, readout
+    error as a per-shot bit flip.  Only where the shots of a row pick
+    different branches is the row copied; each branch is applied to
+    the rows that drew it (identity rows of a Pauli channel are not
+    touched).
 
-    With ``options.max_workers > 1`` the batches fan out over a
-    process pool.  The parent draws every batch's randomness from the
-    seed stream *before* dispatch, so the outcome sequence is
-    bit-reproducible for a fixed seed regardless of the worker count —
-    and identical to a serial :func:`run_trajectory` loop sharing one
-    generator.
+    The seed stream is drawn from in batch order: an inline run draws
+    each batch's uniforms just before the batch runs, and with
+    ``options.max_workers > 1`` (a process-pool fan-out) the parent
+    draws every batch's uniforms *before* dispatch.  Either way the
+    outcome sequence is bit-reproducible for a fixed seed regardless
+    of the batch size and worker count — and identical to a serial
+    :func:`run_trajectory` loop sharing one generator.
 
-    ``return_states=True`` additionally stacks the final states into a
-    ``(shots, 2**n)`` array on the result (memory permitting).
+    ``return_states=True`` additionally gathers each shot's final
+    state from its row into a ``(shots, 2**n)`` array on the result
+    (memory permitting); without it no per-shot states are built.
     """
     from repro.execution.executor import default_executor
     from repro.execution.request import (
@@ -209,8 +217,9 @@ def noisy_counts(
 
     Executes through the batched engine
     (:func:`run_trajectories_batched`): all shots replay one compiled
-    plan and each plan step runs once per ``(B, 2**n)`` batch, so the
-    per-shot cost is linear algebra rather than interpreter overhead.
+    plan and each plan step runs once per batch, across its distinct
+    states, so the per-shot cost is linear algebra rather than
+    interpreter overhead.
     For a fixed seed the histogram is identical to a
     :func:`run_trajectory` loop's, independent of
     ``batch_size``/``max_workers``.  The

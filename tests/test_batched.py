@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from benchmarks.workloads import bell_circuit, ghz_circuit, nested_circuit
-from repro.circuit import Measurement, QCircuit
+from repro.circuit import Measurement, QCircuit, Reset
 from repro.exceptions import SimulationError
-from repro.gates import Hadamard
+from repro.gates import CNOT, Hadamard, RotationY, RotationZ
 from repro.noise import (
     AmplitudeDamping,
     BatchedTrajectoryResult,
@@ -28,6 +28,7 @@ from repro.observability import (
     BATCH_SIZE,
     BATCHED_SHOTS,
     EV_BATCH_FANOUT,
+    EV_STEP_DISPATCH,
     MetricsRegistry,
     TRAJECTORIES,
     flight_recorder,
@@ -333,3 +334,158 @@ class TestObservability:
         names = [s.name for s in tracer.spans]
         assert "batch.trajectories" in names
         assert "batch.execute" in names
+
+
+def reset_circuit():
+    """Gates, an x-basis mid-circuit measurement, a recorded and an
+    unrecorded reset, then every qubit measured."""
+    c = QCircuit(4)
+    c.push_back(Hadamard(0))
+    c.push_back(CNOT(0, 1))
+    c.push_back(RotationY(2, 0.7))
+    c.push_back(Measurement(1, "x"))
+    c.push_back(CNOT(1, 2))
+    c.push_back(Reset(0, record=True))
+    c.push_back(RotationZ(3, 0.3))
+    c.push_back(Hadamard(3))
+    c.push_back(Reset(3))
+    c.push_back(CNOT(2, 3))
+    c.push_back(Hadamard(0))
+    for q in range(4):
+        c.push_back(Measurement(q))
+    return c
+
+
+def replay_rows(run):
+    """``run()``'s result and its ``step.dispatch`` events as
+    ``(op, live rows)`` pairs, in plan order."""
+    rec = flight_recorder()
+    mark = rec.recorded
+    result = run()
+    return result, [
+        (e.data["op"], e.data["branches"])
+        for e in rec.events(EV_STEP_DISPATCH) if e.seq > mark
+    ]
+
+
+class TestSharedRows:
+    """A trajectory row is a state plus the shots that reached it: the
+    batch starts as one row and splits only where shots diverge, with
+    outcomes and states bit-identical to one-shot runs."""
+
+    @pytest.mark.parametrize("batch_size", [1, 7, None])
+    @pytest.mark.parametrize(
+        "channel",
+        [Depolarizing(0.1), AmplitudeDamping(0.2)],
+        ids=["depolarizing", "amplitude-damping"],
+    )
+    @pytest.mark.parametrize("backend", ["kernel", "sparse"])
+    def test_equal_to_one_shot_runs(self, backend, channel, batch_size):
+        c = reset_circuit()
+        noise = NoiseModel(gate_noise=channel, readout_error=0.1)
+        shots = 40
+        res = run_trajectories_batched(
+            c, noise, shots=shots, seed=17, return_states=True,
+            options=SimulationOptions(
+                backend=backend, batch_size=batch_size
+            ),
+        )
+        rng = np.random.default_rng(17)
+        serial = [
+            run_trajectory(c, noise, rng=rng, backend=backend)
+            for _ in range(shots)
+        ]
+        assert res.results == [t.result for t in serial]
+        assert np.array_equal(res.states, np.stack([t.state for t in serial]))
+
+    def test_rare_noise_keeps_one_row(self):
+        """At ``Depolarizing(1e-6)`` no shot draws an error, so every
+        gate step before the first measurement runs one row for all
+        256 shots; no step ever holds more rows than shots."""
+        shots = 256
+        c = ghz_circuit(4, measure=True)
+        noise = NoiseModel(gate_noise=Depolarizing(1e-6))
+        _, steps = replay_rows(
+            lambda: run_trajectories_batched(c, noise, shots=shots, seed=3)
+        )
+        first = [op for op, _ in steps].index("measure")
+        assert first > 0
+        assert all(rows == 1 for _, rows in steps[:first])
+        # the GHZ measurement splits the one row into two, once
+        assert [rows for _, rows in steps[first:]] == [2] * (
+            len(steps) - first
+        )
+        assert max(rows for _, rows in steps) <= shots
+
+    def test_worst_case_identical(self):
+        """At ``Depolarizing(0.5)`` the shots soon hold a row each (the
+        grouping is then skipped); results stay identical."""
+        shots = 64
+        c = nested_circuit()
+        noise = NoiseModel(gate_noise=Depolarizing(0.5), readout_error=0.1)
+        res, steps = replay_rows(
+            lambda: run_trajectories_batched(
+                c, noise, shots=shots, seed=8, return_states=True
+            )
+        )
+        assert max(rows for _, rows in steps) == shots
+        rng = np.random.default_rng(8)
+        serial = [run_trajectory(c, noise, rng=rng) for _ in range(shots)]
+        assert res.results == [t.result for t in serial]
+        assert np.array_equal(res.states, np.stack([t.state for t in serial]))
+
+
+def deep_noisy_circuit():
+    """Two qubits, 100 noisy gates: 102 uniforms per shot."""
+    c = QCircuit(2)
+    for _ in range(50):
+        c.push_back(Hadamard(0))
+        c.push_back(Hadamard(1))
+    c.push_back(Measurement(0))
+    c.push_back(Measurement(1))
+    return c
+
+
+class TestPerBatchUniforms:
+    """An inline run draws each batch's uniforms just before the batch
+    runs, in the same stream order as drawing them all up front."""
+
+    NOISE = NoiseModel(gate_noise=Depolarizing(0.2))
+
+    def test_batch_size_does_not_change_the_stream(self):
+        c = deep_noisy_circuit()
+        shots = 150
+        runs = [
+            run_trajectories_batched(
+                c, self.NOISE, shots=shots, seed=4, return_states=True,
+                options=SimulationOptions(batch_size=size),
+            )
+            for size in (7, 64, shots)
+        ]
+        for res in runs[1:]:
+            assert res.counts == runs[0].counts
+            assert res.results == runs[0].results
+            assert np.array_equal(res.states, runs[0].states)
+
+    def test_one_batch_of_uniforms_alive_at_a_time(self):
+        import tracemalloc
+
+        c = deep_noisy_circuit()
+        shots, size = 2000, 8
+        uniforms_bytes = shots * 102 * 8
+        opts = SimulationOptions(batch_size=size)
+        # a first run compiles the plan and fills the flight
+        # recorder's bounded ring, outside the measurement
+        run_trajectories_batched(
+            c, self.NOISE, shots=shots, seed=0, options=opts
+        )
+        tracemalloc.start()
+        try:
+            res = run_trajectories_batched(
+                c, self.NOISE, shots=shots, seed=4, options=opts
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.results) == shots
+        assert peak < uniforms_bytes
