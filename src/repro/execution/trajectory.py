@@ -32,7 +32,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.execution.dispatch import KRAUS, run_plan
-from repro.simulation.plan import GATE, MEASURE, get_plan
+from repro.simulation.plan import GATE, MEASURE, PlanStep, get_plan
 from repro.simulation.state import initial_state
 
 __all__ = [
@@ -135,6 +135,22 @@ class Sampling:
         self._channels = channels
         self._readout_error = readout_error
         self.shot_row = np.zeros(draws.shape[0], dtype=np.intp)
+        self._branch_steps: dict = {}
+
+    def _branch_step(self, op, qubit, dtype):
+        """The batch's one plan step for Kraus branch ``op`` on
+        ``qubit``, so that the engine derives its operands (the
+        ``kron`` operator, the sparse extended operator) once per batch
+        and keeps them on the step."""
+        key = (id(op), qubit)
+        hit = self._branch_steps.get(key)
+        if hit is not None and hit[0] is op:
+            return hit[1]
+        step = PlanStep(GATE)
+        step.kernel = np.ascontiguousarray(op, dtype=dtype)
+        step.targets = (qubit,)
+        self._branch_steps[key] = (op, step)
+        return step
 
     def _uniforms(self):
         r = self._draws[:, self._col]
@@ -242,8 +258,10 @@ class Sampling:
         """
         (block,) = blocks
         if r is None:
-            out = engine.apply_batched(
-                block[:rows], channel.kraus[0], [qubit], nb_qubits
+            out = engine.apply_planned_batched(
+                block[:rows],
+                self._branch_step(channel.kraus[0], qubit, block.dtype),
+                nb_qubits,
             )
             out /= np.linalg.norm(out, axis=1)[:, None]
             return [out], None, 2 * out.nbytes
@@ -264,8 +282,9 @@ class Sampling:
             if op is None:
                 continue
             sel = np.flatnonzero(picks == i)
-            picked = engine.apply_batched(
-                states[sel], op, [qubit], nb_qubits
+            picked = engine.apply_planned_batched(
+                states[sel], self._branch_step(op, qubit, states.dtype),
+                nb_qubits,
             )
             if probs is not None:
                 picked *= (1.0 / np.sqrt(probs[sel, i]))[:, None]

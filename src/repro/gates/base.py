@@ -316,7 +316,7 @@ def controlled_matrix(
 
 #: Diagonal runs merge (plan fusion, the IR ``coalesce_diagonals``
 #: pass) while their qubit union stays this small.
-MAX_DIAG_QUBITS = 4
+MAX_DIAG_QUBITS = 6
 
 
 def folded_diag(kernel, targets, controls, control_states):

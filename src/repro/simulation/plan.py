@@ -11,8 +11,8 @@ construction and its GPU kernels:
     Flattens the op tree once into a :class:`CompiledPlan` of
     :class:`PlanStep` s with resolved absolute qubits and dtype-cast
     kernels.  Fusion runs in the same single pass: adjacent same-qubit
-    one-qubit gates become one 2x2 kernel, a gate merges with the last
-    steps on its qubits into one dense block on at most
+    one-qubit gates become one 2x2 kernel, a gate merges with those of
+    the last steps on its qubits that fit into one dense block on at most
     :data:`~repro.simulation.backends.MAX_BLOCK_QUBITS` contiguous
     qubits (its matrix is multiplied out once, when compilation ends),
     and consecutive diagonal gates are coalesced into one diagonal
@@ -485,33 +485,38 @@ def _block_frontier(window: _Window, step: PlanStep):
     ``None`` when the block rule does not apply.
 
     A frontier step is the last step of the window on one of
-    ``step``'s qubits.  Each must be concrete and uncontrolled or
-    diagonal (a 1q step, an uncontrolled gate, a diagonal or an
-    earlier block), and the
-    last step on all of its own qubits, so that it commutes forward to
-    the end of the window.  The union, padded to its contiguous span,
-    must fit :data:`MAX_BLOCK_QUBITS`; all-diagonal merges are left to
-    diagonal coalescing.
+    ``step``'s qubits.  It joins the block when it is concrete, the
+    last step on all of its own qubits (so that it commutes forward to
+    the end of the window alone) and the union, padded to its
+    contiguous span, still fits :data:`MAX_BLOCK_QUBITS`; frontier
+    steps are taken greedily in window order.  A frontier step that
+    does not join stays where it is, and the block goes after it at
+    the end of the window.  ``step``'s own span must fit; merges
+    joining nothing or only diagonals are left to the other rules.
     """
     qubits = step.targets + step.controls
-    last = window.last
-    found = sorted({last[q] for q in qubits if q in last})
-    if not found:
-        return None
     lo, hi = min(qubits), max(qubits)
-    diagonal = step.diagonal
-    for i in found:
-        cand = window.steps[i]
-        if cand.param is not None or (cand.controls and not cand.diagonal):
-            return None
-        own = cand.targets + cand.controls
-        lo, hi = min(lo, *own), max(hi, *own)
-        if hi - lo >= MAX_BLOCK_QUBITS or any(last[q] != i for q in own):
-            return None
-        diagonal = diagonal and cand.diagonal
-    if diagonal:
+    if hi - lo >= MAX_BLOCK_QUBITS:
         return None
-    return found, lo, hi
+    last = window.last
+    kept = []
+    diagonal = step.diagonal
+    for i in sorted({last[q] for q in qubits if q in last}):
+        cand = window.steps[i]
+        own = cand.targets + cand.controls
+        cand_lo, cand_hi = min(lo, *own), max(hi, *own)
+        if (
+            cand.param is not None
+            or cand_hi - cand_lo >= MAX_BLOCK_QUBITS
+            or any(last[q] != i for q in own)
+        ):
+            continue
+        kept.append(i)
+        lo, hi = cand_lo, cand_hi
+        diagonal = diagonal and cand.diagonal
+    if not kept or diagonal:
+        return None
+    return kept, lo, hi
 
 
 def _fuse_into_window(window: _Window, step: PlanStep) -> bool:
@@ -522,8 +527,8 @@ def _fuse_into_window(window: _Window, step: PlanStep) -> bool:
     not touch its qubit, so it can fuse with the *last* step that does
     — if that step is an uncontrolled one-qubit gate on the same
     target.  Otherwise a gate merges with the frontier steps of its
-    qubits into one dense block (:func:`_block_frontier`): they move
-    to the end of the window as one step whose member gates
+    qubits that fit into one dense block (:func:`_block_frontier`):
+    they move to the end of the window as one step whose member gates
     ``window.blocks`` records until :func:`_close_block` multiplies
     them out.  A diagonal gate additionally commutes past any other
     diagonal step (they are simultaneously diagonalized), so it scans
@@ -582,15 +587,27 @@ def _fuse_into_window(window: _Window, step: PlanStep) -> bool:
     return False
 
 
+def _lift(matrix, kernel, first: int):
+    """``kron(I, U, I) @ matrix`` for ``U`` on the contiguous block
+    qubits from ``first`` on, as one batched product over panels of
+    ``matrix`` rather than with the lifted operator built."""
+    dim = matrix.shape[0]
+    size = kernel.shape[0]
+    panels = matrix.reshape(1 << first, size, -1)
+    return np.matmul(kernel, panels).reshape(dim, dim)
+
+
 def _close_block(block: PlanStep, members: list, dtype) -> None:
     """Give a block step its kernel: the member gates applied in order
     to the identity on the block's qubits.  A member on one qubit
     commutes with the members on other qubits, so runs of them on a
-    qubit are multiplied out first and applied once."""
+    qubit are multiplied out first and applied once.  Uncontrolled
+    members on contiguous qubits are lifted with :func:`_lift`; the
+    others (controlled or gapped) go through the kernel engine."""
     lo = block.targets[0]
     k = len(block.targets)
     dim = 1 << k
-    matrix = np.eye(dim, dtype=dtype).reshape(1, dim, dim)
+    matrix = np.eye(dim, dtype=dtype)
     pending: dict = {}  # qubit -> product of its 1q members not applied
     for m in members + [None]:
         if m is not None and not m.controls and len(m.targets) == 1:
@@ -599,16 +616,22 @@ def _close_block(block: PlanStep, members: list, dtype) -> None:
             continue
         due = list(pending) if m is None else pending.keys() & _touched(m)
         for q in sorted(due):
-            matrix = _run(
-                matrix, pending.pop(q), (q - lo,), (), (), False, k, None
-            )
-        if m is not None:
-            matrix = _run(
-                matrix, m.kernel, tuple(q - lo for q in m.targets),
-                tuple(q - lo for q in m.controls), m.control_states,
-                m.diagonal, k, None,
-            )
-    block.kernel = matrix.reshape(dim, dim)
+            matrix = _lift(matrix, pending.pop(q), q - lo)
+        if m is None:
+            break
+        targets = tuple(q - lo for q in m.targets)
+        first = targets[0]
+        if not m.controls and targets == tuple(
+            range(first, first + len(targets))
+        ):
+            matrix = _lift(matrix, m.kernel, first)
+            continue
+        matrix = _run(
+            matrix.reshape(1, dim, dim), m.kernel, targets,
+            tuple(q - lo for q in m.controls), m.control_states,
+            m.diagonal, k, None,
+        ).reshape(dim, dim)
+    block.kernel = matrix
 
 
 # -- compilation -------------------------------------------------------------

@@ -258,26 +258,65 @@ class TestFusion:
         assert len(plan.steps) == nb_steps
         assert plan.stats.nb_block_merged == 2 - nb_steps
 
+    def test_partial_frontier_merges_the_subset_that_fits(self):
+        """Blocks are open on (0..3) and (4, 5); CNOT(3, 4) cannot join
+        both (a span of 6), so it merges with the (4, 5) block alone
+        and the (0..3) block stays where it is."""
+        c = QCircuit(6)
+        for q in range(6):
+            c.push_back(RotationX(q, 0.3 + 0.2 * q))
+        c.push_back(CNOT(0, 1))
+        c.push_back(CNOT(2, 3))
+        c.push_back(CNOT(1, 2))
+        c.push_back(CZ(4, 5))
+        c.push_back(CNOT(3, 4))
+        plan = compile_circuit(c)
+        assert [s.targets for s in plan.steps] == [(0, 1, 2, 3), (3, 4, 5)]
+        assert not any(s.controls for s in plan.steps)
+        ref = simulate(
+            c, "0" * 6,
+            options=SimulationOptions(backend="sparse", fuse=False),
+        ).states[0]
+        got = simulate(c, "0" * 6).states[0]
+        assert np.allclose(got, ref, atol=1e-14)
+
+    def test_controlled_frontier_step_joins_a_block(self):
+        """A CNOT on fresh qubits stays a controlled step; the next gate
+        on its qubits folds it into a dense block."""
+        c = QCircuit(3)
+        c.push_back(CNOT(0, 1))
+        c.push_back(RotationX(1, 0.4))
+        plan = compile_circuit(c)
+        (step,) = plan.steps
+        assert step.targets == (0, 1) and not step.controls
+        assert plan.stats.nb_block_merged == 1
+        assert np.allclose(
+            np.kron(step.kernel, np.eye(2)), c.matrix, atol=1e-14
+        )
+
     @pytest.mark.parametrize(
         "backend", ["kernel", "sparse", "einsum"], indirect=True
     )
     def test_randomized_cross_validation(self, backend):
+        """At 4 qubits every frontier fits one block; at 6 and 8 they
+        stop fitting and merge in part."""
         rng = np.random.default_rng(42)
-        for trial in range(5):
-            c = random_circuit(4, 25, rng)
-            # the paper's Section 3.2 engine, one step per gate
-            ref = simulate(
-                c,
-                "0000",
-                options=SimulationOptions(backend="sparse", fuse=False),
-            ).states[0]
-            for fuse in (True, False):
-                got = simulate(
+        for n in (4, 6, 8):
+            for trial in range(5):
+                c = random_circuit(n, 25 + 10 * (n - 4), rng)
+                # the paper's Section 3.2 engine, one step per gate
+                ref = simulate(
                     c,
-                    "0000",
-                    options=SimulationOptions(backend=backend, fuse=fuse),
+                    "0" * n,
+                    options=SimulationOptions(backend="sparse", fuse=False),
                 ).states[0]
-                assert np.allclose(got, ref, atol=1e-12), (trial, fuse)
+                for fuse in (True, False):
+                    got = simulate(
+                        c,
+                        "0" * n,
+                        options=SimulationOptions(backend=backend, fuse=fuse),
+                    ).states[0]
+                    assert np.allclose(got, ref, atol=1e-12), (n, trial, fuse)
 
     def test_unfused_plan_is_bit_identical_to_legacy(self):
         """An unfused plan reproduces the per-gate ``apply_operation``
