@@ -367,11 +367,9 @@ def _gate(plan, block, rows, step, spare, cols):
     ):
         spare = np.empty_like(block)
     out = _live(spare, len(states))
-    if cols is not None and step.param is not None:
-        kernels = step.op.kernel_values(step.param.resolve_batch(cols))
+    if cols is not None and step.is_parametric:
         res = plan.engine.apply_planned_sweep(
-            states, step, plan.nb_qubits,
-            np.ascontiguousarray(kernels.astype(plan.dtype, copy=False)),
+            states, step, plan.nb_qubits, plan.step_kernels(step, cols),
             out=out,
         )
     else:
@@ -397,11 +395,13 @@ def run_plan(plan, state, atol, inst=None, check=None, *, policy=None,
     shots disagree appends rows to it, and ``rows`` counts the live
     ones.  Gate steps run once per block, on its live rows, through
     ``apply_planned_batched``, double-buffered against one spare.
-    Given sweep value columns ``cols``, a parametric step applies one
-    kernel per row through ``apply_planned_sweep`` instead; without
-    them it uses the plan's bound kernel.  Measure and reset steps go
-    to :func:`collapse` under ``policy`` — :class:`Branching` with
-    ``atol`` when ``None``.
+    Given sweep value columns ``cols``, a parametric step (leaf or
+    block) applies one kernel per row from
+    :meth:`~repro.simulation.CompiledPlan.step_kernels` through
+    ``apply_planned_sweep`` instead; without them it uses the plan's
+    bound kernel.  Measure and reset steps go to :func:`collapse`
+    under ``policy`` — :class:`Branching` with ``atol`` when
+    ``None``.
 
     ``check`` is the cancellation hook: a zero-argument callable
     invoked once per plan step (not per row) that raises to abort the

@@ -163,7 +163,10 @@ class ParameterExpression:
             raise UnboundParameterError(
                 f"no value array bound for parameter {self._param.name!r}"
             ) from None
-        return self._scale * np.asarray(v, dtype=float) + self._offset
+        v = np.asarray(v, dtype=float)
+        if self._scale == 1.0 and self._offset == 0.0:
+            return v  # the bare slot: no arithmetic per binding
+        return self._scale * v + self._offset
 
     # -- identity ------------------------------------------------------------
 

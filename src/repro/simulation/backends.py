@@ -748,7 +748,8 @@ class SparseKronBackend(Backend):
         every nonzero kernel entry ``(a, b)`` is deposited at the
         ``2**(n-k)`` register index pairs that agree on the spectator
         qubits — exactly the sparse ``I_l (x) U (x) I_r`` of the paper,
-        generalized to arbitrary qubit subsets.
+        generalized to arbitrary qubit subsets.  The register indices
+        of each kernel index are built once and gathered per entry.
         """
         if controls:
             qubits_all = sorted(list(targets) + list(controls))
@@ -763,20 +764,15 @@ class SparseKronBackend(Backend):
         positions = [nb_qubits - 1 - q for q in qubits_all]
         coo = sp.coo_matrix(full_kernel)
         rest = np.arange(1 << (nb_qubits - k), dtype=np.int64)
-        nrest = rest.size
-        rows = np.empty(coo.nnz * nrest, dtype=np.int64)
-        cols = np.empty(coo.nnz * nrest, dtype=np.int64)
-        vals = np.empty(coo.nnz * nrest, dtype=np.complex128)
-        for i, (a, b, v) in enumerate(zip(coo.row, coo.col, coo.data)):
-            bits_a = [(int(a) >> (k - 1 - j)) & 1 for j in range(k)]
-            bits_b = [(int(b) >> (k - 1 - j)) & 1 for j in range(k)]
-            rows[i * nrest : (i + 1) * nrest] = insert_bits(
-                rest, positions, bits_a
+        # register[a]: the register indices of kernel index a
+        register = np.empty((1 << k, rest.size), dtype=np.int64)
+        for a in range(1 << k):
+            register[a] = insert_bits(
+                rest, positions, [(a >> (k - 1 - j)) & 1 for j in range(k)]
             )
-            cols[i * nrest : (i + 1) * nrest] = insert_bits(
-                rest, positions, bits_b
-            )
-            vals[i * nrest : (i + 1) * nrest] = v
+        rows = register[coo.row].ravel()
+        cols = register[coo.col].ravel()
+        vals = np.repeat(coo.data.astype(np.complex128), rest.size)
         dim = 1 << nb_qubits
         return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 

@@ -14,9 +14,9 @@ construction and its GPU kernels:
     one-qubit gates become one 2x2 kernel, a gate merges with those of
     the last steps on its qubits that fit into one dense block on at most
     :data:`~repro.simulation.backends.MAX_BLOCK_QUBITS` contiguous
-    qubits (its matrix is multiplied out once, when compilation ends),
-    and consecutive diagonal gates are coalesced into one diagonal
-    step.
+    qubits (its matrix is multiplied out once, when compilation ends,
+    or per binding when a member is parametric), and consecutive
+    diagonal gates are coalesced into one diagonal step.
 
 ``get_plan``
     Memoizes plans in an LRU cache keyed by a *structural circuit
@@ -33,6 +33,7 @@ hits/misses, per-stage wall time) and is exposed per run as
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, replace
 from time import perf_counter
@@ -103,19 +104,23 @@ class PlanStep:
     *Parametric* gate steps — compiled from gates holding a symbolic
     :class:`~repro.parameter.Parameter` slot — carry the slot's
     :class:`~repro.parameter.ParameterExpression` in ``param`` and a
-    ``None`` kernel until :meth:`CompiledPlan.bind` fills it in.
+    ``None`` kernel until :meth:`CompiledPlan.bind` fills it in.  A
+    fused block with a parametric member is parametric too: it keeps
+    its member steps, in order, in ``members`` and is closed per
+    binding (:meth:`CompiledPlan.step_kernels`).
     """
 
     __slots__ = (
         "kind", "kernel", "diag", "targets", "controls",
         "control_states", "diagonal", "aux", "op", "noise_qubits",
-        "qubit", "param",
+        "qubit", "param", "members",
     )
 
     def __init__(self, kind: int):
         self.kind = kind
         self.kernel = None
         self.param = None
+        self.members = None
         self.diag = None
         self.targets = ()
         self.controls = ()
@@ -134,6 +139,11 @@ class PlanStep:
         ctrl = f", controls={self.controls}" if self.controls else ""
         tag = "diag " if self.diagonal else ""
         return f"PlanStep({tag}gate on {self.targets}{ctrl})"
+
+    @property
+    def is_parametric(self) -> bool:
+        """Whether the step's kernel depends on a parameter binding."""
+        return self.param is not None or self.members is not None
 
 
 @dataclass
@@ -188,6 +198,7 @@ class CompiledPlan:
         recorded: tuple,
         end_measured: dict,
         stats: PlanStats,
+        parameters: tuple,
     ):
         self.nb_qubits = nb_qubits
         self.engine = engine
@@ -199,12 +210,11 @@ class CompiledPlan:
         self.end_measured = end_measured
         self.stats = stats
         self._param_steps = tuple(
-            s for s in steps if s.kind == GATE and s.param is not None
+            s for s in steps if s.kind == GATE and s.is_parametric
         )
-        seen: dict = {}
-        for s in self._param_steps:
-            seen.setdefault(s.param.parameter, None)
-        self._parameters = tuple(seen)
+        #: in source first-appearance order, which the members of a
+        #: fused block do not keep
+        self._parameters = tuple(parameters)
         #: guards in-place kernel mutation (bind) against concurrent
         #: replay of the same cached plan; the
         #: :class:`~repro.execution.Executor` holds it across
@@ -243,14 +253,26 @@ class CompiledPlan:
 
         return normalize_values(self._parameters, values)
 
+    def step_kernels(self, step: PlanStep, cols: Mapping) -> np.ndarray:
+        """The ``(P, 2**k, 2**k)`` kernels of parametric ``step`` at the
+        ``P`` points of the value columns ``cols`` (``{Parameter:
+        values}``; a scalar value is one point), cast to the plan
+        dtype.  A leaf step evaluates its gate; a block closes its
+        members once per point.  Reads the plan and writes nothing, so
+        :meth:`bind` (one point) and sweeps (every point) share it."""
+        if step.members is None:
+            return _point_kernels(step, cols, self.dtype)
+        return _close_block(step.targets, step.members, self.dtype, cols)
+
     def bind(self, values) -> "CompiledPlan":
         """Fill the parametric step kernels from one value set.
 
         ``values`` is a ``{Parameter-or-name: float}`` mapping or a
-        sequence in :attr:`parameters` order.  Kernels are computed and
-        cast to the plan dtype **in place** — no re-lowering or
-        re-compilation happens, which is what makes bind-per-point
-        sweeps cheap.  Returns ``self``.
+        sequence in :attr:`parameters` order.  Kernels are computed
+        (:meth:`step_kernels`; blocks with parametric members are
+        re-closed) and cast to the plan dtype **in place** — no
+        re-lowering or re-compilation happens, which is what makes
+        bind-per-point sweeps cheap.  Returns ``self``.
         """
         if not self._param_steps:
             return self
@@ -262,15 +284,8 @@ class CompiledPlan:
             nb_params=len(self._parameters),
             nb_steps=len(self._param_steps),
         ):
-            dtype = self.dtype
             for step in self._param_steps:
-                theta = step.param.resolve(mapping)
-                kernel = step.op.kernel_values(
-                    np.asarray([theta], dtype=float)
-                )[0]
-                step.kernel = np.ascontiguousarray(
-                    kernel.astype(dtype, copy=False)
-                )
+                step.kernel = self.step_kernels(step, mapping)[0]
                 if step.diagonal:
                     step.diag = np.ascontiguousarray(
                         np.diag(step.kernel)
@@ -293,8 +308,9 @@ class CompiledPlan:
 
         One vectorized pass per plan step runs all ``P`` points at
         once: concrete steps broadcast their single kernel over the
-        ``(P, 2**n)`` state batch, parametric steps apply a per-point
-        kernel stack along the parameter axis.
+        ``(P, 2**n)`` state batch, parametric steps (fused blocks with
+        parametric members included) apply a per-point kernel stack
+        from :meth:`step_kernels` along the parameter axis.
 
         Parameters
         ----------
@@ -457,14 +473,23 @@ class _Window:
     merged away); fusion looks back only as far as ``start``, which
     barriers, measurements and resets move to the end.  ``last`` maps
     each qubit to the index of the last step of the window on it, and
-    ``blocks`` maps each open block step to its member gate steps.
+    ``blocks`` maps each open block step to its member gate steps, and
+    ``parametric`` holds the blocks with a parametric member.
     """
 
-    def __init__(self):
+    def __init__(self, nb_qubits: int):
         self.steps: list = []
         self.start = 0
         self.last: dict = {}
         self.blocks: dict = {}
+        self.parametric: set = set()
+        #: widest block a parametric step may join (0: none).  A sweep
+        #: builds a ``4**k``-entry matrix per point for such a block,
+        #: which pays only when it is smaller than the ``2**n`` state
+        #: row whose passes it replaces, and a block on fewer than 3
+        #: qubits replaces too few passes to pay for the build
+        span = min(MAX_BLOCK_QUBITS, (nb_qubits - 1) // 2)
+        self.param_span = span if span >= 3 else 0
         self.counts = {"fused_1q": 0, "diag_merged": 0, "block_merged": 0}
 
     def append(self, step: PlanStep) -> None:
@@ -480,23 +505,27 @@ class _Window:
 
 
 def _block_frontier(window: _Window, step: PlanStep):
-    """``(indices, lo, hi)`` of the frontier steps that concrete
-    ``step`` merges with into one dense block on qubits ``lo..hi``, or
-    ``None`` when the block rule does not apply.
+    """``(indices, lo, hi, parametric)`` of the frontier steps that
+    ``step`` merges with into one dense block on qubits ``lo..hi``
+    (``parametric`` when a member is), or ``None`` when the block rule
+    does not apply.
 
     A frontier step is the last step of the window on one of
-    ``step``'s qubits.  It joins the block when it is concrete, the
-    last step on all of its own qubits (so that it commutes forward to
-    the end of the window alone) and the union, padded to its
-    contiguous span, still fits :data:`MAX_BLOCK_QUBITS`; frontier
-    steps are taken greedily in window order.  A frontier step that
-    does not join stays where it is, and the block goes after it at
-    the end of the window.  ``step``'s own span must fit; merges
+    ``step``'s qubits.  It joins the block when it is the last step on
+    all of its own qubits (so that it commutes forward to the end of
+    the window alone) and the union, padded to its contiguous span,
+    still fits :data:`MAX_BLOCK_QUBITS`; frontier steps are taken
+    greedily in window order.  Parametric steps join like concrete
+    ones, but only blocks of at most ``window.param_span`` qubits: the
+    block keeps its members until it is bound.  A frontier
+    step that does not join stays where it is, and the block goes
+    after it at the end of the window.  ``step``'s own span must fit; merges
     joining nothing or only diagonals are left to the other rules.
     """
     qubits = step.targets + step.controls
     lo, hi = min(qubits), max(qubits)
-    if hi - lo >= MAX_BLOCK_QUBITS:
+    parametric = step.param is not None
+    if hi - lo >= (window.param_span if parametric else MAX_BLOCK_QUBITS):
         return None
     last = window.last
     kept = []
@@ -505,18 +534,19 @@ def _block_frontier(window: _Window, step: PlanStep):
         cand = window.steps[i]
         own = cand.targets + cand.controls
         cand_lo, cand_hi = min(lo, *own), max(hi, *own)
-        if (
-            cand.param is not None
-            or cand_hi - cand_lo >= MAX_BLOCK_QUBITS
-            or any(last[q] != i for q in own)
-        ):
+        joins_param = (
+            parametric or cand.param is not None or cand in window.parametric
+        )
+        span = window.param_span if joins_param else MAX_BLOCK_QUBITS
+        if cand_hi - cand_lo >= span or any(last[q] != i for q in own):
             continue
         kept.append(i)
         lo, hi = cand_lo, cand_hi
         diagonal = diagonal and cand.diagonal
+        parametric = joins_param
     if not kept or diagonal:
         return None
-    return kept, lo, hi
+    return kept, lo, hi, parametric
 
 
 def _fuse_into_window(window: _Window, step: PlanStep) -> bool:
@@ -533,9 +563,13 @@ def _fuse_into_window(window: _Window, step: PlanStep) -> bool:
     them out.  A diagonal gate additionally commutes past any other
     diagonal step (they are simultaneously diagonalized), so it scans
     back through diagonals and disjoint steps for a coalescing partner.
+    The one-qubit and diagonal merges multiply kernels at compile
+    time, so they skip parametric steps on either side and open
+    blocks.
     """
     steps, last, counts = window.steps, window.last, window.counts
-    if not step.controls and len(step.targets) == 1:
+    concrete = step.param is None
+    if concrete and not step.controls and len(step.targets) == 1:
         i = last.get(step.targets[0])
         cand = None if i is None else steps[i]
         if (
@@ -543,30 +577,36 @@ def _fuse_into_window(window: _Window, step: PlanStep) -> bool:
             and not cand.controls
             and cand.param is None
             and len(cand.targets) == 1
+            and cand not in window.blocks
         ):
             _merge_1q(cand, step)
             counts["fused_1q"] += 1
             return True
     frontier = _block_frontier(window, step)
     if frontier is not None:
-        found, lo, hi = frontier
+        found, lo, hi, parametric = frontier
         counts["block_merged"] += len(found)
         block = steps[found[0]]
         if len(found) == 1 and block.targets == tuple(range(lo, hi + 1)):
             members = window.blocks.get(block)
             if members is not None:  # grows in place: it is last on
                 members.append(step)  # every qubit of its span
+                if parametric:
+                    window.parametric.add(block)
                 return True
         block = PlanStep(GATE)
         block.targets = tuple(range(lo, hi + 1))
         members = window.blocks[block] = []
         for i in found:
             members.extend(window.blocks.pop(steps[i], (steps[i],)))
+            window.parametric.discard(steps[i])
             steps[i] = None
         members.append(step)
+        if parametric:
+            window.parametric.add(block)
         window.append(block)
         return True
-    if step.diagonal:
+    if concrete and step.diagonal:
         qubits = _touched(step)
         for i in range(len(steps) - 1, window.start - 1, -1):
             cand = steps[i]
@@ -587,51 +627,153 @@ def _fuse_into_window(window: _Window, step: PlanStep) -> bool:
     return False
 
 
+def _point_kernels(step: PlanStep, cols, dtype) -> np.ndarray:
+    """A gate step's kernel: its own when it is concrete, else the
+    ``(P, 2**k, 2**k)`` stack at the points of the value columns
+    ``cols``, cast to ``dtype``."""
+    if step.param is None:
+        return step.kernel
+    kernels = step.op.kernel_values(step.param.resolve_batch(cols))
+    return np.ascontiguousarray(kernels.astype(dtype, copy=False))
+
+
 def _lift(matrix, kernel, first: int):
     """``kron(I, U, I) @ matrix`` for ``U`` on the contiguous block
     qubits from ``first`` on, as one batched product over panels of
-    ``matrix`` rather than with the lifted operator built."""
-    dim = matrix.shape[0]
-    size = kernel.shape[0]
-    panels = matrix.reshape(1 << first, size, -1)
-    return np.matmul(kernel, panels).reshape(dim, dim)
+    ``matrix`` rather than with the lifted operator built.  ``matrix``
+    and ``kernel`` may each hold one entry per point."""
+    dim = matrix.shape[-1]
+    size = kernel.shape[-1]
+    panels = matrix.reshape(len(matrix), 1 << first, size, -1)
+    if kernel.ndim == 3:
+        kernel = kernel[:, None]
+    return np.matmul(kernel, panels).reshape(-1, dim, dim)
 
 
-def _close_block(block: PlanStep, members: list, dtype) -> None:
-    """Give a block step its kernel: the member gates applied in order
-    to the identity on the block's qubits.  A member on one qubit
-    commutes with the members on other qubits, so runs of them on a
-    qubit are multiplied out first and applied once.  Uncontrolled
-    members on contiguous qubits are lifted with :func:`_lift`; the
-    others (controlled or gapped) go through the kernel engine."""
-    lo = block.targets[0]
-    k = len(block.targets)
-    dim = 1 << k
-    matrix = np.eye(dim, dtype=dtype)
-    pending: dict = {}  # qubit -> product of its 1q members not applied
-    for m in members + [None]:
-        if m is not None and not m.controls and len(m.targets) == 1:
-            q = m.targets[0]
-            pending[q] = m.kernel @ pending[q] if q in pending else m.kernel
+@functools.lru_cache(maxsize=None)
+def _eye(size: int, dtype) -> np.ndarray:
+    """A read-only ``(1, size, size)`` identity, shared by every
+    :func:`_kron` that needs it."""
+    eye = np.eye(size, dtype=dtype)[None]
+    eye.flags.writeable = False
+    return eye
+
+
+def _kron(factors, dtype):
+    """``kron`` of per-qubit factors (first most significant), each a
+    ``(2, 2)`` kernel, a ``(P, 2, 2)`` stack or ``None`` for the
+    identity, as a fresh ``(1 or P, 2**k, 2**k)`` stack.  Runs of
+    identities become one identity, and the rest multiply in pairs,
+    so that no product broadcasts over tiny trailing axes twice."""
+    mats = []
+    run = 0  # identity factors not yet appended
+    for f in factors:
+        if f is None:
+            run += 1
             continue
-        due = list(pending) if m is None else pending.keys() & _touched(m)
-        for q in sorted(due):
-            matrix = _lift(matrix, pending.pop(q), q - lo)
+        if run:
+            mats.append(_eye(1 << run, dtype))
+            run = 0
+        mats.append(f.reshape(-1, 2, 2))
+    if run:
+        mats.append(_eye(1 << run, dtype))
+    if len(mats) == 1:
+        return mats[0].copy()
+    while len(mats) > 1:
+        paired = []
+        for a, b in zip(mats[::2], mats[1::2]):
+            size = a.shape[-1] * b.shape[-1]
+            paired.append(
+                (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
+                    -1, size, size
+                )
+            )
+        mats = paired + mats[len(paired) * 2:]
+    return mats[0]
+
+
+def _coalesce_members(members: list) -> tuple:
+    """A parametric block's members with each run of consecutive
+    concrete diagonals coalesced into one (:func:`_merge_diag`), so
+    that every binding closes fewer members."""
+    out = []
+    for m in members:
+        prev = out[-1] if out else None
+        if (
+            prev is not None
+            and prev.param is None
+            and m.param is None
+            and prev.diagonal
+            and m.diagonal
+            and _merge_diag(prev, m)
+        ):
+            continue
+        out.append(m)
+    return tuple(out)
+
+
+def _close_block(targets, members, dtype, cols=None) -> np.ndarray:
+    """A block step's kernels: the member gates applied in order to the
+    identity on the block's ``targets``, as a ``(P, 2**k, 2**k)``
+    stack — one matrix per point of the value columns ``cols`` when a
+    member is parametric, else ``P = 1``.
+
+    One-qubit members ahead of every other member on their qubit
+    commute to the front, so they start the product as one
+    :func:`_kron`.  Later runs of one-qubit members on a qubit are
+    multiplied out and wait until a member on their qubit (or the end)
+    is due; a run due alone is lifted with :func:`_lift`, runs due
+    together go in as one :func:`_kron`.  Uncontrolled members on contiguous qubits are lifted with
+    :func:`_lift`; the others (controlled, diagonal or gapped) go
+    through the kernel engine, where a diagonal is a row scaling."""
+    lo = targets[0]
+    k = len(targets)
+    front: dict = {}  # qubit -> product of its leading 1q members
+    rest = []
+    seen = set()
+    for m in members:
+        kernel = m.kernel if m.param is None else _point_kernels(
+            m, cols, dtype
+        )
+        one = not m.controls and len(m.targets) == 1
+        if one and m.targets[0] not in seen:
+            q = m.targets[0]
+            front[q] = kernel @ front[q] if q in front else kernel
+            continue
+        seen.update(m.targets + m.controls)
+        rest.append((m, kernel, one))
+    matrix = _kron([front.get(q) for q in targets], dtype)
+    pending: dict = {}  # qubit -> product of its 1q members not applied
+    for m, kernel, one in rest + [(None, None, False)]:
+        if one:
+            q = m.targets[0]
+            pending[q] = kernel @ pending[q] if q in pending else kernel
+            continue
+        due = sorted(pending if m is None else pending.keys() & _touched(m))
+        if len(due) == 1:
+            matrix = _lift(matrix, pending.pop(due[0]), due[0] - lo)
+        elif due:
+            factors = [
+                pending.pop(q) if q in due else None
+                for q in range(due[0], due[-1] + 1)
+            ]
+            matrix = _lift(matrix, _kron(factors, dtype), due[0] - lo)
         if m is None:
             break
-        targets = tuple(q - lo for q in m.targets)
-        first = targets[0]
-        if not m.controls and targets == tuple(
-            range(first, first + len(targets))
+        rel = tuple(q - lo for q in m.targets)
+        first = rel[0]
+        if not m.controls and not m.diagonal and rel == tuple(
+            range(first, first + len(rel))
         ):
-            matrix = _lift(matrix, m.kernel, first)
+            matrix = _lift(matrix, kernel, first)
             continue
+        if kernel.ndim == 3 and len(matrix) != len(kernel):
+            matrix = np.repeat(matrix, len(kernel), axis=0)
         matrix = _run(
-            matrix.reshape(1, dim, dim), m.kernel, targets,
-            tuple(q - lo for q in m.controls), m.control_states,
-            m.diagonal, k, None,
-        ).reshape(dim, dim)
-    block.kernel = matrix
+            matrix, kernel, rel, tuple(q - lo for q in m.controls),
+            m.control_states, m.diagonal, k, None,
+        )
+    return matrix
 
 
 # -- compilation -------------------------------------------------------------
@@ -701,11 +843,12 @@ def _compile_circuit(
     nb_qubits = circuit.nbQubits
     program = lower(circuit)
 
-    window = _Window()
+    window = _Window(nb_qubits)
     nb_source_ops = 0
     recorded = []
     last_touch: dict = {}
     record_index: dict = {}
+    parameters: dict = {}  # first-appearance order
 
     for irop in program:
         kind = irop.kind
@@ -722,24 +865,20 @@ def _compile_circuit(
             step.diagonal = irop.is_diagonal
             step.op = op
             step.noise_qubits = irop.qubits
-            if not irop.is_bound:
-                # parametric step: no kernel until bind()/sweep();
-                # validate the index structure with an identity stand-in
+            if irop.is_bound:
+                step.kernel = irop.kernel(dtype)
+                if step.diagonal:
+                    step.diag = np.ascontiguousarray(np.diag(step.kernel))
+            else:
+                # parametric step: no kernel until bind()/sweep()
                 step.param = irop.parameter_expression
-                Backend._validate(
-                    np.eye(1 << len(step.targets), dtype=dtype),
-                    step.targets, nb_qubits, step.controls,
-                    step.control_states,
-                )
-                for q in irop.qubits:
-                    last_touch[q] = op
-                window.append(step)  # opaque to fusion
-                continue
-            step.kernel = irop.kernel(dtype)
-            if step.diagonal:
-                step.diag = np.ascontiguousarray(np.diag(step.kernel))
+                parameters.setdefault(step.param.parameter, None)
+            # a parametric step validates its index structure with an
+            # identity stand-in
             Backend._validate(
-                step.kernel, step.targets, nb_qubits, step.controls,
+                np.eye(1 << len(step.targets), dtype=dtype)
+                if step.kernel is None else step.kernel,
+                step.targets, nb_qubits, step.controls,
                 step.control_states,
             )
             for q in irop.qubits:
@@ -775,7 +914,10 @@ def _compile_circuit(
         )
 
     for block, members in window.blocks.items():
-        _close_block(block, members, dtype)
+        if block in window.parametric:
+            block.members = _coalesce_members(members)  # closed per binding
+        else:
+            block.kernel = _close_block(block.targets, members, dtype)[0]
     steps = [step for step in window.steps if step is not None]
     counts = window.counts
     end_measured = {}
@@ -805,7 +947,7 @@ def _compile_circuit(
     )
     return CompiledPlan(
         nb_qubits, engine, np.dtype(dtype).type, steps,
-        tuple(recorded), end_measured, stats,
+        tuple(recorded), end_measured, stats, tuple(parameters),
     )
 
 

@@ -10,6 +10,7 @@ serial-vs-batched bit-identity are pinned down here too.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -239,6 +240,66 @@ class TestSparseOperator:
             Hadamard(0).matrix, [5], 10
         )
         assert op.nnz == 2 * (1 << 10)  # 2 nonzeros per column
+
+    @staticmethod
+    def _per_entry_operator(kernel, targets, n, controls=(), states=()):
+        """The operator built one nonzero kernel entry at a time."""
+        from repro.utils.bits import insert_bits
+
+        if controls:
+            qubits = sorted(list(targets) + list(controls))
+            kernel = controlled_matrix(
+                kernel, qubits, list(controls), list(states), list(targets)
+            )
+        else:
+            qubits = sorted(targets)
+        k = len(qubits)
+        positions = [n - 1 - q for q in qubits]
+        coo = sp.coo_matrix(kernel)
+        rest = np.arange(1 << (n - k), dtype=np.int64)
+        rows, cols, vals = [], [], []
+        for a, b, v in zip(coo.row, coo.col, coo.data):
+            bits_a = [(int(a) >> (k - 1 - j)) & 1 for j in range(k)]
+            bits_b = [(int(b) >> (k - 1 - j)) & 1 for j in range(k)]
+            rows.append(insert_bits(rest, positions, bits_a))
+            cols.append(insert_bits(rest, positions, bits_b))
+            vals.append(np.full(rest.size, v, dtype=np.complex128))
+        return sp.csr_matrix(
+            (np.concatenate(vals),
+             (np.concatenate(rows), np.concatenate(cols))),
+            shape=(1 << n, 1 << n),
+        )
+
+    @pytest.mark.parametrize(
+        "targets, controls, states",
+        [
+            ((2,), (), ()),
+            ((1, 2, 3, 4), (), ()),  # a dense 4-qubit block
+            ((0, 3), (), ()),  # gapped targets
+            ((4,), (1,), (0,)),  # control state 0
+            ((0, 2), (1, 4), (1, 0)),
+        ],
+    )
+    def test_extended_operator_matches_per_entry_build(
+        self, targets, controls, states
+    ):
+        """The gathered build gives the same CSR, entry for entry, as
+        depositing each nonzero kernel entry on its own."""
+        rng = np.random.default_rng(len(targets) * 7 + len(controls))
+        n = 5
+        size = 1 << len(targets)
+        kernel = rng.normal(size=(size, size)) + 1j * rng.normal(
+            size=(size, size)
+        )
+        kernel[rng.random((size, size)) < 0.3] = 0.0  # some zero entries
+        got = SparseKronBackend.extended_operator(
+            kernel, list(targets), n, list(controls), list(states)
+        )
+        want = self._per_entry_operator(kernel, targets, n, controls, states)
+        assert got.format == "csr"
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
 
 
 class TestControlledKernelHelper:

@@ -33,6 +33,7 @@ from repro.gates import (
     CRotationX,
     CRotationY,
     CRotationZ,
+    CZ,
     Hadamard,
     MCGate,
     MCPhase,
@@ -52,6 +53,7 @@ from repro.parameter import normalize_values
 from repro.simulation import (
     available_backends,
     clear_plan_cache,
+    compile_circuit,
     get_plan,
     plan_cache_info,
 )
@@ -337,6 +339,168 @@ class TestSweep:
         with instrument() as inst:
             c.sweep({p: np.linspace(0, 1, 13)})
         assert inst.metrics.counter(SWEEP_POINTS).total() == 13
+
+
+# -- parametric gates in fused blocks ----------------------------------------
+
+
+def _parametric_blocks(circuit):
+    """The fused plan's parametric blocks and their members."""
+    plan = compile_circuit(circuit)
+    return plan, [s for s in plan.steps if s.members is not None]
+
+
+def _assert_matches_unfused(circuit, values):
+    """Sweep rows and per-point binds of the fused plan equal the
+    unfused plan's, on the kernel engine and the sparse reference."""
+    start = "0" * circuit.nbQubits
+    for backend in ("kernel", "sparse"):
+        fused = {"backend": backend}
+        unfused = {"backend": backend, "fuse": False}
+        swept = circuit.sweep(values, options=fused).states
+        ref = circuit.sweep(values, options=unfused).states
+        np.testing.assert_allclose(swept, ref, atol=1e-12)
+        for row, want in zip(values, ref):
+            got = circuit.bind(row).simulate(start, fused).states[0]
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+class TestParametricBlocks:
+    """Parametric gates join fused blocks on registers of 7 or more
+    qubits; a block with a parametric member keeps its members and is
+    closed per binding."""
+
+    @pytest.mark.parametrize(
+        "nb_qubits, widest", [(4, 0), (6, 0), (7, 3), (8, 3), (10, 4)]
+    )
+    def test_parametric_block_width_follows_the_register(
+        self, nb_qubits, widest
+    ):
+        """A parametric block of ``k`` qubits needs ``4**k < 2**n`` and
+        ``k >= 3``; narrower registers keep parametric gates as leaf
+        steps, as before parametric fusion."""
+        from repro.algorithms import hardware_efficient_ansatz
+
+        circuit = hardware_efficient_ansatz(nb_qubits, 2)
+        _plan, blocks = _parametric_blocks(circuit)
+        assert max((len(b.targets) for b in blocks), default=0) == widest
+        values = np.random.default_rng(nb_qubits).uniform(
+            -np.pi, np.pi, (3, len(circuit.parameters))
+        )
+        _assert_matches_unfused(circuit, values)
+
+    def test_parameter_order_is_source_order(self):
+        a, b, c = (Parameter(n) for n in "abc")
+        circuit = QCircuit(7)
+        for q, p in enumerate((a, b, c)):
+            circuit.push_back(RotationY(q, p))
+        circuit.push_back(CZ(0, 1))
+        circuit.push_back(CZ(1, 2))
+        plan, (block,) = _parametric_blocks(circuit)
+        assert len(plan.steps) == 1
+        member_params = [
+            m.param.parameter for m in block.members if m.param is not None
+        ]
+        assert member_params == [c, a, b]  # not source order
+        assert plan.parameters == (a, b, c)
+        values = np.array([[0.3, -1.2, 2.5], [1.7, 0.4, -0.9]])
+        swept = circuit.sweep(values).states
+        for row, state in zip(values, swept):
+            ref = circuit.bind(row).simulate("0" * 7).states[0]
+            np.testing.assert_allclose(state, ref, atol=1e-12)
+        _assert_matches_unfused(circuit, values)
+
+    def test_sweep_writes_no_kernel(self):
+        from repro.algorithms import hardware_efficient_ansatz
+
+        circuit = hardware_efficient_ansatz(7, 2)
+        plan, _ = get_plan(circuit)
+        blocks = [s for s in plan.steps if s.members is not None]
+        assert blocks
+        plan.bind(np.linspace(0.1, 1.5, len(plan.parameters)))
+        kept = [
+            (step, step.kernel, step.kernel.copy())
+            for step in plan.steps
+        ] + [
+            (m, m.kernel, None if m.kernel is None else m.kernel.copy())
+            for step in blocks for m in step.members
+        ]
+        values = np.random.default_rng(3).uniform(
+            -np.pi, np.pi, (6, len(plan.parameters))
+        )
+        circuit.sweep(values)
+        for step, kernel, copy in kept:
+            assert step.kernel is kernel
+            if copy is not None:
+                np.testing.assert_array_equal(step.kernel, copy)
+
+    def test_threads_sweeping_one_plan_get_serial_results(self):
+        import sys
+        import threading
+
+        from repro.algorithms import hardware_efficient_ansatz
+
+        circuit = hardware_efficient_ansatz(8, 2)
+        nb = len(circuit.parameters)
+        rng = np.random.default_rng(5)
+        batches = [rng.uniform(-np.pi, np.pi, (8, nb)) for _ in range(2)]
+        serial = [circuit.sweep(v).states for v in batches]
+        got = [None, None]
+        barrier = threading.Barrier(2)
+
+        def work(i):
+            barrier.wait()
+            for _ in range(5):
+                got[i] = circuit.sweep(batches[i]).states
+
+        threads = [
+            threading.Thread(target=work, args=(i,)) for i in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(2):
+            np.testing.assert_array_equal(got[i], serial[i])
+
+    def test_parametric_diagonal_members(self):
+        t, u = Parameter("t"), Parameter("u")
+        circuit = QCircuit(7)
+        circuit.push_back(Hadamard(0))
+        circuit.push_back(RotationZ(0, t))
+        circuit.push_back(RotationX(1, 0.3))
+        circuit.push_back(CPhase(0, 1, u))
+        circuit.push_back(RotationY(1, 0.8))
+        _plan, blocks = _parametric_blocks(circuit)
+        diagonal = [
+            type(m.op) for b in blocks for m in b.members
+            if m.param is not None and m.diagonal
+        ]
+        assert diagonal == [RotationZ, CPhase]
+        values = np.array([[0.0, 0.0], [0.9, -2.1], [-1.3, 2.8]])
+        _assert_matches_unfused(circuit, values)
+
+    def test_controlled_parametric_member(self):
+        t = Parameter("t")
+        circuit = QCircuit(7)
+        for q in range(3):
+            circuit.push_back(Hadamard(q))
+        circuit.push_back(CRotationY(2, 0, t))
+        circuit.push_back(RotationX(1, 0.5))
+        circuit.push_back(CRotationY(0, 1, 2 * t, control_state=0))
+        _plan, blocks = _parametric_blocks(circuit)
+        controlled = [
+            m for b in blocks for m in b.members
+            if m.param is not None and m.controls
+        ]
+        assert len(controlled) == 2
+        _assert_matches_unfused(circuit, np.array([[0.4], [-2.2], [3.0]]))
 
 
 # -- controlled wrappers around a slot ---------------------------------------

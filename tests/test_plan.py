@@ -246,17 +246,44 @@ class TestFusion:
         assert np.allclose(got, ref, atol=1e-14)
 
     @pytest.mark.parametrize(
-        "angle, far, nb_steps",
-        [(0.2, 1, 1), (0.2, 4, 2), (Parameter("theta"), 1, 2)],
+        "angle, far, nb_steps, nb_qubits",
+        [(0.2, 1, 1, 5), (0.2, 4, 2, 5), (Parameter("theta"), 1, 1, 7)],
         ids=["merged", "span-of-5", "parametric"],
     )
-    def test_block_rule_limits(self, angle, far, nb_steps):
-        c = QCircuit(5)
+    def test_block_rule_limits(self, angle, far, nb_steps, nb_qubits):
+        c = QCircuit(nb_qubits)
         c.push_back(RotationX(0, angle))
         c.push_back(CNOT(0, far))
         plan = compile_circuit(c)
         assert len(plan.steps) == nb_steps
         assert plan.stats.nb_block_merged == 2 - nb_steps
+        if isinstance(angle, Parameter):
+            # a parametric gate joins the block, which keeps its
+            # members until it is bound
+            (step,) = plan.steps
+            assert step.targets == (0, 1) and step.kernel is None
+            assert [m.op for m in step.members] == list(c)
+            values = np.array([[0.0], [0.7], [-2.3]])
+            for backend in ("kernel", "sparse"):
+                fused, _ = get_plan(c, backend)
+                ref, _ = get_plan(c, backend, fuse=False)
+                np.testing.assert_allclose(
+                    fused.sweep(values), ref.sweep(values), atol=1e-12
+                )
+                for row in values:
+                    np.testing.assert_allclose(
+                        simulate(
+                            c.bind({angle: row[0]}), "0" * nb_qubits,
+                            options=SimulationOptions(backend=backend),
+                        ).states[0],
+                        simulate(
+                            c.bind({angle: row[0]}), "0" * nb_qubits,
+                            options=SimulationOptions(
+                                backend=backend, fuse=False
+                            ),
+                        ).states[0],
+                        atol=1e-12,
+                    )
 
     def test_partial_frontier_merges_the_subset_that_fits(self):
         """Blocks are open on (0..3) and (4, 5); CNOT(3, 4) cannot join
